@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "BlochPoint",
@@ -23,7 +22,8 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 # Brute-force assignment is exact and cheap up to this many points; larger
-# constellations go through the Hungarian solver.
+# constellations go through the Hungarian solver, whose scipy import is
+# deferred to that branch so that `import stellar` loads numpy only.
 _BRUTE_FORCE_LIMIT = 8
 
 
@@ -111,11 +111,8 @@ def _distance_matrix(a: Constellation, b: Constellation) -> np.ndarray:
     return np.arctan2(np.linalg.norm(cx, axis=-1), dots)
 
 
-def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:
-    """Minimum-total-distance assignment; returns b-indices aligned to a.
-
-    Exhaustive search for small constellations, Hungarian assignment above.
-    """
+def _match(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal assignment (b-indices aligned to a) and the distance matrix."""
     if a.expected_size != b.expected_size:
         raise ValueError("cannot match constellations of different sizes")
     n = a.expected_size
@@ -123,15 +120,24 @@ def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:
     if n <= _BRUTE_FORCE_LIMIT:
         perms = np.array(list(permutations(range(n))))
         totals = dist[np.arange(n)[None, :], perms].sum(axis=1)
-        return perms[int(np.argmin(totals))]
+        return perms[int(np.argmin(totals))], dist
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(dist)
     out = np.empty(n, dtype=int)
     out[rows] = cols
-    return out
+    return out, dist
+
+
+def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:
+    """Minimum-total-distance assignment; returns b-indices aligned to a.
+
+    Exhaustive search for small constellations, Hungarian assignment above.
+    """
+    return _match(a, b)[0]
 
 
 def matching_max_distance(a: Constellation, b: Constellation) -> float:
     """Largest per-pair geodesic distance under the optimal matching."""
-    perm = match_constellations(a, b)
-    dist = _distance_matrix(a, b)
+    perm, dist = _match(a, b)
     return float(dist[np.arange(a.expected_size), perm].max())

@@ -183,7 +183,8 @@ def find_roots(
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
 
     residual = _residual(c, roots)
-    if residual > tol:
+    # written so that a NaN residual (non-finite roots) fails too
+    if not residual <= tol:
         raise RootFindingError(
             f"root iteration failed to meet tolerance {tol:.1e}", roots, residual
         )

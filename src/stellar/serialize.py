@@ -1,7 +1,8 @@
 """JSON wire formats for states, constellations, and separability verdicts.
 
 Floats go through Python's shortest-round-trip repr, so writing and reading
-back is bit-exact and byte-identical across runs.
+back is bit-exact and byte-identical across runs. Output is strict JSON: a
+NaN or infinite value raises ValueError instead of being written.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class InputFormatError(ValueError):
 
 
 def _dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def state_to_json(state: PureState) -> str:

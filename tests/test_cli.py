@@ -183,6 +183,17 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_six_qubit_majorana_nan_roots_exit_three(tmp_path, capsys):
+    # the degree-63 Majorana polynomial of a random 6-qubit state drives the
+    # root finder to NaN; that must fail the residual contract, not print NaN
+    state = helpers.random_state(np.random.default_rng(66), 6)
+    path = write_state(tmp_path, state)
+    code, out, err = run(capsys, ["points", path, "--encoding", "majorana"])
+    assert code == 3
+    assert out == ""
+    assert "best residual" in err
+
+
 def test_render_from_points_pipeline(tmp_path, capsys, ent_pair):
     path = write_state(tmp_path, ent_pair)
     _, points_json, _ = run(capsys, ["points", path])

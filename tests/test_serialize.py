@@ -83,6 +83,13 @@ def test_constellation_json_shape():
     assert all(set(p) == {"theta", "phi"} for p in doc["points"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constellation_to_json_refuses_non_finite(bad):
+    c = helpers.make_constellation([(np.pi / 2, 0.0), (bad, 1.0)])
+    with pytest.raises(ValueError):
+        constellation_to_json(c)
+
+
 @pytest.mark.parametrize(
     "text",
     [
