@@ -82,7 +82,6 @@ def decide_separability(
     vec = state.amplitudes.copy()
     factors: list[tuple[complex, complex]] = []
     worst = 0.0
-    scale = 1.0 + 0.0j
     for _ in range(state.n_qubits - 1):
         # rows: this qubit (low bit of the current index); cols: the rest
         matrix = vec.reshape(-1, 2).T

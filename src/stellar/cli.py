@@ -141,7 +141,8 @@ def cmd_demo(args) -> int:
     spec = RenderSpec(projection="front", size_px=480, show_axes=True)
     summary: list[str] = []
     verdicts: dict[str, bool] = {}
-    for label, describing, state in _demo_states():
+    states = _demo_states()
+    for label, describing, state in states:
         verdicts[label] = decide_separability(state).separable
         for row, encoding in (("1", "majorana"), ("2", "alt")):
             constellation = _constellation_for(state, encoding, 1e-12)
@@ -153,7 +154,7 @@ def cmd_demo(args) -> int:
             summary.append(f"{name}: {encoding} points of ({label}) {describing}")
             summary.append(f"    {pts}")
     summary.append("")
-    for label, describing, _state in _demo_states():
+    for label, describing, _state in states:
         word = "separable" if verdicts[label] else "entangled"
         summary.append(f"({label}) {describing}: {word}")
     sep_labels = sorted(k for k, v in verdicts.items() if v)

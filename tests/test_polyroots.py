@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from stellar import ComplexPolynomial, RootFindingError, evaluate, find_roots
+import stellar.polyroots
+from stellar import (
+    ComplexPolynomial,
+    RootFindingError,
+    evaluate,
+    find_roots,
+    majorana_constellation,
+    spin_from_qubits,
+)
 
 import helpers
 
@@ -147,3 +155,21 @@ def test_nonconvergence_reports_best_iterate():
     assert "best residual" in str(err)
     assert err.residual > 1e-12
     assert err.best_roots.shape == (20,)
+
+
+def test_nonfinite_iterate_stops_the_iteration(monkeypatch):
+    # the degree-63 Majorana polynomial of a random 6-qubit state sends the
+    # Aberth iterates to inf/NaN at once; the error must come without
+    # running out the iteration budget on NaN
+    calls = []
+    pair = stellar.polyroots._horner_pair
+
+    def counted(coeffs, xs):
+        calls.append(1)
+        return pair(coeffs, xs)
+
+    monkeypatch.setattr(stellar.polyroots, "_horner_pair", counted)
+    state = helpers.random_state(np.random.default_rng(66), 6)
+    with pytest.raises(RootFindingError, match="best residual nan"):
+        majorana_constellation(spin_from_qubits(state))
+    assert 0 < len(calls) <= 10

