@@ -2,8 +2,10 @@
 
 Orthographic projection of the unit sphere: "front" looks down the +x axis
 (screen x = y, screen y = z), "top" looks down the +z axis (screen x = x,
-screen y = y). Points on the far hemisphere are drawn faded; coincident
-points get a multiplicity badge. Output is a pure function of the inputs:
+screen y = y). Points on the far hemisphere are drawn faded; points within
+_LIMB_TOL of the limb (depth 0) count as near, so rounding noise in a point
+that lies on the limb cannot flip its style. Coincident points get a
+multiplicity badge. Output is a pure function of the inputs:
 fixed-precision coordinates, no timestamps, no randomness.
 """
 
@@ -18,6 +20,9 @@ from .geometry import Constellation, to_cartesian
 __all__ = ["RenderSpec", "render_svg"]
 
 _MIN_SIZE = 64
+# depth at or above -_LIMB_TOL draws as near; limb points carry depths of
+# about +-1e-16 that are 0 in exact arithmetic
+_LIMB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,15 +85,15 @@ def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
     projected = []
     for p in constellation.points:
         u, v, depth = _project(to_cartesian(p), spec.projection)
-        projected.append((u, v, depth, p.theta, p.phi))
+        projected.append((u, v, depth >= -_LIMB_TOL, p.theta, p.phi))
     # far hemisphere first so near points overdraw; then deterministic order
-    projected.sort(key=lambda t: (t[2] >= 0.0, t[3], t[4]))
+    projected.sort(key=lambda t: (t[2], t[3], t[4]))
 
     groups: dict[tuple[str, str], int] = {}
-    for u, v, depth, _t, _p in projected:
+    for u, v, near, _t, _p in projected:
         key = (px(u), py(v))
         groups[key] = groups.get(key, 0) + 1
-        fill, opacity = ("#1f5fbf", "1.0") if depth >= 0.0 else ("#7da4d6", "0.55")
+        fill, opacity = ("#1f5fbf", "1.0") if near else ("#7da4d6", "0.55")
         lines.append(
             f'<circle cx="{key[0]}" cy="{key[1]}" r="{_fmt(spec.point_radius_px)}" '
             f'fill="{fill}" fill-opacity="{opacity}" stroke="#10305f" stroke-width="1"/>'

@@ -46,6 +46,31 @@ def test_front_projection_depth_cueing():
     assert out.index("#7da4d6") < out.index("#1f5fbf")
 
 
+@pytest.mark.parametrize(
+    "projection, theta, phi, nudged",
+    [
+        ("front", np.pi / 2, np.pi / 2, "phi"),
+        ("front", np.pi / 2, 1.5 * np.pi, "phi"),
+        ("top", np.pi / 2, 1.0, "theta"),
+    ],
+    ids=["front-quarter", "front-three-quarter", "top-equator"],
+)
+def test_limb_point_style_survives_one_ulp(projection, theta, phi, nudged):
+    # depth is 0 in exact arithmetic and +-1e-16 in floating point either side
+    def nudge(t, p, toward):
+        if nudged == "phi":
+            return t, np.nextafter(p, toward)
+        return np.nextafter(t, toward), p
+
+    outs = {
+        render([nudge(theta, phi, toward)], projection=projection)
+        for toward in (-np.inf, np.inf)
+    }
+    outs.add(render([(theta, phi)], projection=projection))
+    assert len(outs) == 1
+    assert "#7da4d6" not in outs.pop()
+
+
 def test_top_projection_moves_the_view():
     equatorial = [(np.pi / 2, 1.0)]
     front = render(equatorial)
