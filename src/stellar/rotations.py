@@ -8,6 +8,13 @@ acts on qubit components (a, b) directly:
     a' = a cos(b/2) e^{-i(alpha+gamma)/2} - b sin(b/2) e^{ i(gamma-alpha)/2}
     b' = a sin(b/2) e^{-i(gamma-alpha)/2} + b cos(b/2) e^{ i(alpha+gamma)/2}
 
+The small-d matrix comes from one cached eigendecomposition per spin (Feng,
+Wang, Yang & Jin, "Exact computation of the Wigner d-matrix", Phys. Rev. E
+92, 043307, 2015): d(beta) = W diag(e^{-i beta m}) W^H, with W the
+eigenvectors of S_y at their exact eigenvalues m = -S..S. W is i^r times the
+real eigenvectors of the tridiagonal S_x, so numpy's eigh suffices. Spin
+1/2 is written out in closed form.
+
 rotate_spin multiplies a spin state's ascending amplitude vector by this
 matrix as stored. Under that action the Majorana points move rigidly by
 so3_matrix(angles) = Rz(-alpha) Ry(beta) Rz(-gamma); the z-angle signs are
@@ -16,7 +23,7 @@ tied to the qubit-component convention above and are pinned by tests.
 
 from __future__ import annotations
 
-from math import factorial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,32 +53,32 @@ class EulerAngles(NamedTuple):
     gamma: float
 
 
+# holds every qubit count 1..10 at once (2S = 2^N - 1, about 11 MB together)
+_EIGENVECTOR_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_EIGENVECTOR_CACHE_SIZE)
+def _sy_eigenvectors(two_S: int) -> np.ndarray:
+    """Eigenvectors of S_y (read-only), columns by ascending eigenvalue -S..S."""
+    r = np.arange(1, two_S + 1)
+    off = 0.5 * np.sqrt(r * (two_S + 1.0 - r))  # <M+1|S_x|M> at M = S - r
+    _, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = (1j ** np.arange(two_S + 1))[:, None] * v
+    w.flags.writeable = False
+    return w
+
+
 def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     """Real small-d matrix d^S_{M'M}(beta), descending M order both ways."""
     if two_S < 1:
         raise ValueError("two_S must be a positive integer")
-    dim = two_S + 1
-    fact = [float(factorial(k)) for k in range(two_S + 1)]
-    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
-    out = np.zeros((dim, dim))
-    for r in range(dim):
-        pp = two_S - 2 * r  # 2 M'
-        for q in range(dim):
-            p = two_S - 2 * q  # 2 M
-            jm = (two_S + p) // 2   # j + m
-            jmp = (two_S - pp) // 2  # j - m'
-            pref = np.sqrt(
-                fact[(two_S + pp) // 2] * fact[(two_S - pp) // 2]
-                * fact[jm] * fact[two_S - jm]
-            )
-            total = 0.0
-            for k in range(max(0, (p - pp) // 2), min(jm, jmp) + 1):
-                dk = k + (pp - p) // 2  # k - m + m'
-                term = pref / (fact[jm - k] * fact[k] * fact[jmp - k] * fact[dk])
-                term *= c ** (two_S - 2 * k + (p - pp) // 2) * s ** (2 * k - (p - pp) // 2)
-                total += -term if dk % 2 else term
-            out[r, q] = total
-    return out
+    if two_S == 1:  # every per-qubit rotation: exact to the rounding of cos and sin
+        c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+        return np.array([[c, -s], [s, c]])
+    w = _sy_eigenvectors(two_S)
+    m = np.arange(two_S + 1) - 0.5 * two_S
+    # I + W diag(expm1) W^H, not W diag(exp) W^H, so beta = 0 gives I exactly
+    return np.eye(two_S + 1) + ((w * np.expm1(-1j * beta * m)) @ w.conj().T).real
 
 
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:

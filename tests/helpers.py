@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the library's own fast paths: the
 permutation sum expands the symmetrized product the factorial-cost way,
-the minimum-cost assignment is found by trying every permutation, and the
-spin-1/2 rotation is written out in closed form, so agreement with the
-package is evidence rather than tautology.
+the minimum-cost assignment is found by trying every permutation, the
+spin-1/2 rotation is written out in closed form, Wigner matrices come from
+dense matrix exponentials and from the factorial sum, and coherent states
+are built term by term in log space, so agreement with the package is
+evidence rather than tautology.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from stellar import BlochPoint, Constellation, PureState, make_pure_state
@@ -130,3 +133,82 @@ def closed_form_spinor_rotation(a: complex, b: complex, angles):
     a2 = a * c * np.exp(-0.5j * (alpha + gamma)) - b * s * np.exp(0.5j * (gamma - alpha))
     b2 = a * s * np.exp(-0.5j * (gamma - alpha)) + b * c * np.exp(0.5j * (alpha + gamma))
     return complex(a2), complex(b2)
+
+
+def spin_generators(two_S: int):
+    """Dense (S_y, S_z), highest level first (the storage order of wigner_D)."""
+    S = two_S / 2.0
+    m = S - np.arange(two_S + 1)
+    sp = np.zeros((two_S + 1, two_S + 1))
+    for r in range(1, two_S + 1):
+        sp[r - 1, r] = np.sqrt(S * (S + 1) - m[r] * (m[r] + 1))
+    return (sp - sp.T) / 2j, np.diag(m)
+
+
+def expm_rotation(two_S: int, angles) -> np.ndarray:
+    """e^{-i alpha S_z} e^{-i beta S_y} e^{-i gamma S_z} by matrix exponentials."""
+    alpha, beta, gamma = angles
+    sy, sz = spin_generators(two_S)
+    return expm(-1j * alpha * sz) @ expm(-1j * beta * sy) @ expm(-1j * gamma * sz)
+
+
+def factorial_sum_small_d(two_S: int, beta: float) -> np.ndarray:
+    """Wigner's factorial sum for d^S_{M'M}(beta), descending M both ways.
+
+    O(dim^3) terms; accurate to about 1e-15 up to 2S = 15, it loses digits
+    from 2S ~ 31 and overflows from 2S = 171.
+    """
+    dim = two_S + 1
+    fact = [float(math.factorial(k)) for k in range(two_S + 1)]
+    c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    out = np.zeros((dim, dim))
+    for r in range(dim):
+        pp = two_S - 2 * r  # 2 M'
+        for q in range(dim):
+            p = two_S - 2 * q  # 2 M
+            jm = (two_S + p) // 2  # j + m
+            jmp = (two_S - pp) // 2  # j - m'
+            pref = np.sqrt(
+                fact[(two_S + pp) // 2] * fact[(two_S - pp) // 2]
+                * fact[jm] * fact[two_S - jm]
+            )
+            total = 0.0
+            for k in range(max(0, (p - pp) // 2), min(jm, jmp) + 1):
+                dk = k + (pp - p) // 2  # k - m + m'
+                term = pref / (fact[jm - k] * fact[k] * fact[jmp - k] * fact[dk])
+                term *= c ** (two_S - 2 * k + (p - pp) // 2) * s ** (2 * k - (p - pp) // 2)
+                total += -term if dk % 2 else term
+            out[r, q] = total
+    return out
+
+
+def coherent_amplitudes(two_S: int, theta: float, phi: float) -> np.ndarray:
+    """Spin amplitudes (ascending M) whose 2S Majorana points all sit at (theta, phi).
+
+    a_m = sqrt(binom(2S, m)) alpha^m beta^(2S-m) for the point's spinor
+    alpha = cos(theta/2), beta = -sin(theta/2) e^{i phi}, summed in log space
+    with math.lgamma and scaled so the largest amplitude is 1. Needs
+    0 < theta < pi.
+    """
+    log_a, log_b = math.log(math.cos(0.5 * theta)), math.log(math.sin(0.5 * theta))
+    m = np.arange(two_S + 1)
+    log_mag = np.array(
+        [
+            0.5 * (math.lgamma(two_S + 1) - math.lgamma(k + 1) - math.lgamma(two_S - k + 1))
+            + k * log_a
+            + (two_S - k) * log_b
+            for k in m
+        ]
+    )
+    phase = (two_S - m) * (phi + np.pi)
+    return np.exp(log_mag - log_mag.max() + 1j * phase)
+
+
+def ray_mismatch(a, b) -> float:
+    """Largest entry of |a e^{i chi} / |a| - b / |b|| at the best phase chi."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    overlap = np.vdot(a, b)
+    return float(np.abs(a * (overlap / abs(overlap)) - b).max())

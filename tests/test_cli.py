@@ -76,6 +76,22 @@ def test_rotate_spin_disentangles(tmp_path, capsys, ent_pair):
     assert json.loads(verdict_out)["separable"] is True
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_rotate_spin_on_many_qubits_matches_expm(tmp_path, capsys, n):
+    state = helpers.random_state(np.random.default_rng(70 + n), n)
+    path = write_state(tmp_path, state)
+    code, out, err = run(capsys, ["rotate", path, "--mode", "spin", "--angles", "0.3,1.1,2.0"])
+    assert (code, err) == (0, "")
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    got = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+    oracle = helpers.expm_rotation(2**n - 1, (0.3, 1.1, 2.0)) @ state.amplitudes
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
+
+
 def test_rotate_qubits_uniform_quarter_turn(tmp_path, capsys, product_pair):
     path = write_state(tmp_path, product_pair)
     code, out, _ = run(

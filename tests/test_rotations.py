@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from stellar import (
     EulerAngles,
+    SpinState,
     decide_separability,
     euler_from_so3,
     majorana_constellation,
@@ -33,18 +33,6 @@ def random_angles(rng) -> EulerAngles:
     )
 
 
-def spin_matrices(two_S: int):
-    """Dense angular-momentum generators, highest level first."""
-    S = two_S / 2.0
-    m = S - np.arange(two_S + 1)
-    sz = np.diag(m)
-    sp = np.zeros((two_S + 1, two_S + 1))
-    for r in range(1, two_S + 1):
-        sp[r - 1, r] = np.sqrt(S * (S + 1) - m[r] * (m[r] + 1))
-    sy = (sp - sp.T) / 2j
-    return sy, sz
-
-
 def test_single_qubit_rotation_about_y():
     beta = 0.7
     expected = np.array(
@@ -58,10 +46,10 @@ def test_single_qubit_rotation_about_y():
     )
 
 
-@pytest.mark.parametrize("two_S", [1, 2, 3, 6])
+@pytest.mark.parametrize("two_S", [1, 2, 3, 6, 63, 255])
 def test_identity_angles_give_identity_matrix(two_S):
-    np.testing.assert_allclose(
-        wigner_D(two_S, EulerAngles(0, 0, 0)), np.eye(two_S + 1), atol=1e-15
+    np.testing.assert_array_equal(
+        wigner_D(two_S, EulerAngles(0, 0, 0)), np.eye(two_S + 1)
     )
 
 
@@ -70,22 +58,30 @@ def test_small_d_rejects_nonpositive_spin():
         wigner_small_d(0, 1.0)
 
 
-@pytest.mark.parametrize("two_S", [1, 2, 3, 5])
+@pytest.mark.parametrize("two_S", [1, 2, 3, 5, 63, 127, 255, 511, 1023])
 def test_rotation_matrix_is_unitary(two_S):
     rng = np.random.default_rng(51 + two_S)
     u = wigner_D(two_S, random_angles(rng))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(two_S + 1), atol=1e-12)
 
 
-@pytest.mark.parametrize("two_S", [1, 2, 3, 4])
+@pytest.mark.parametrize("two_S", [1, 2, 3, 4, 7, 31, 63, 127])
 def test_matches_matrix_exponential_oracle(two_S):
     rng = np.random.default_rng(55 + two_S)
-    sy, sz = spin_matrices(two_S)
     for _ in range(5):
-        a, b, g = random_angles(rng)
-        oracle = expm(-1j * a * sz) @ expm(-1j * b * sy) @ expm(-1j * g * sz)
+        ang = random_angles(rng)
         np.testing.assert_allclose(
-            wigner_D(two_S, EulerAngles(a, b, g)), oracle, atol=1e-10
+            wigner_D(two_S, ang), helpers.expm_rotation(two_S, ang), atol=1e-10
+        )
+
+
+@pytest.mark.parametrize("two_S", [1, 2, 3, 7, 15])
+def test_small_d_matches_factorial_sum(two_S):
+    for beta in np.linspace(0.0, np.pi, 7):
+        np.testing.assert_allclose(
+            wigner_small_d(two_S, beta),
+            helpers.factorial_sum_small_d(two_S, beta),
+            atol=1e-13,
         )
 
 
@@ -251,6 +247,23 @@ def test_rigid_body_property_random_spins():
         by_state = majorana_constellation(rotate_spin(spin, ang))
         by_points = rotate_constellation(majorana_constellation(spin), so3_matrix(ang))
         assert matching_max_distance(by_state, by_points) <= 1e-8
+
+
+@pytest.mark.parametrize("two_S", [127, 255, 511, 1023])
+def test_coherent_state_rotates_rigidly_at_large_spin(two_S):
+    # the state with all 2S points at n is carried to the one at so3_matrix @ n;
+    # no root finding, which does not reach these sizes
+    rng = np.random.default_rng(68 + two_S)
+    for _ in range(2):
+        theta, phi = rng.uniform(0.3, np.pi - 0.3), rng.uniform(0, 2 * np.pi)
+        ang = random_angles(rng)
+        n = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        x, y, z = so3_matrix(ang) @ n
+        rotated = rotate_spin(
+            SpinState(two_S, helpers.coherent_amplitudes(two_S, theta, phi)), ang
+        )
+        expected = helpers.coherent_amplitudes(two_S, np.arccos(z), np.arctan2(y, x))
+        assert helpers.ray_mismatch(rotated.amplitudes, expected) <= 1e-10
 
 
 def test_per_qubit_rotation_is_not_rigid(ent_pair):
