@@ -2,10 +2,8 @@
 
 Orthographic projection of the unit sphere: "front" looks down the +x axis
 (screen x = y, screen y = z), "top" looks down the +z axis (screen x = x,
-screen y = y). Points on the far hemisphere are drawn faded; points within
-_LIMB_TOL of the limb (depth 0) count as near, so rounding noise in a point
-that lies on the limb cannot flip its style. Coincident points get a
-multiplicity badge. Output is a pure function of the inputs:
+screen y = y). Points on the far hemisphere are drawn faded; coincident
+points get a multiplicity badge. Output is a pure function of the inputs:
 fixed-precision coordinates, no timestamps, no randomness.
 """
 
@@ -20,8 +18,7 @@ from .geometry import Constellation, to_cartesian
 __all__ = ["RenderSpec", "render_svg"]
 
 _MIN_SIZE = 64
-# depth at or above -_LIMB_TOL draws as near; limb points carry depths of
-# about +-1e-16 that are 0 in exact arithmetic
+# limb points have depth 0, up to +-1e-16 of rounding; they draw as near
 _LIMB_TOL = 1e-12
 
 

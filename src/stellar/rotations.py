@@ -8,12 +8,9 @@ acts on qubit components (a, b) directly:
     a' = a cos(b/2) e^{-i(alpha+gamma)/2} - b sin(b/2) e^{ i(gamma-alpha)/2}
     b' = a sin(b/2) e^{-i(gamma-alpha)/2} + b cos(b/2) e^{ i(alpha+gamma)/2}
 
-The small-d matrix comes from one cached eigendecomposition per spin (Feng,
-Wang, Yang & Jin, "Exact computation of the Wigner d-matrix", Phys. Rev. E
-92, 043307, 2015): d(beta) = W diag(e^{-i beta m}) W^H, with W the
-eigenvectors of S_y at their exact eigenvalues m = -S..S. W is i^r times the
-real eigenvectors of the tridiagonal S_x, so numpy's eigh suffices. Spin
-1/2 is written out in closed form.
+The small-d matrix is I + W diag(expm1(-i beta m)) W^H, W the eigenvectors of
+S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
+computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
 rotate_spin multiplies a spin state's ascending amplitude vector by this
 matrix as stored. Under that action the Majorana points move rigidly by
@@ -59,7 +56,7 @@ _EIGENVECTOR_CACHE_SIZE = 16
 
 @lru_cache(maxsize=_EIGENVECTOR_CACHE_SIZE)
 def _sy_eigenvectors(two_S: int) -> np.ndarray:
-    """Eigenvectors of S_y (read-only), columns by ascending eigenvalue -S..S."""
+    """Read-only eigenvectors of S_y (i^r times those of S_x), eigenvalues -S..S."""
     r = np.arange(1, two_S + 1)
     off = 0.5 * np.sqrt(r * (two_S + 1.0 - r))  # <M+1|S_x|M> at M = S - r
     _, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))

@@ -135,20 +135,18 @@ def closed_form_spinor_rotation(a: complex, b: complex, angles):
     return complex(a2), complex(b2)
 
 
-def spin_generators(two_S: int):
-    """Dense (S_y, S_z), highest level first (the storage order of wigner_D)."""
+def expm_rotation(two_S: int, angles) -> np.ndarray:
+    """e^{-i alpha S_z} e^{-i beta S_y} e^{-i gamma S_z} by matrix exponentials.
+
+    Dense generators, highest level first (the storage order of wigner_D).
+    """
+    alpha, beta, gamma = angles
     S = two_S / 2.0
     m = S - np.arange(two_S + 1)
     sp = np.zeros((two_S + 1, two_S + 1))
     for r in range(1, two_S + 1):
         sp[r - 1, r] = np.sqrt(S * (S + 1) - m[r] * (m[r] + 1))
-    return (sp - sp.T) / 2j, np.diag(m)
-
-
-def expm_rotation(two_S: int, angles) -> np.ndarray:
-    """e^{-i alpha S_z} e^{-i beta S_y} e^{-i gamma S_z} by matrix exponentials."""
-    alpha, beta, gamma = angles
-    sy, sz = spin_generators(two_S)
+    sy, sz = (sp - sp.T) / 2j, np.diag(m)
     return expm(-1j * alpha * sz) @ expm(-1j * beta * sy) @ expm(-1j * gamma * sz)
 
 
@@ -186,20 +184,16 @@ def coherent_amplitudes(two_S: int, theta: float, phi: float) -> np.ndarray:
     """Spin amplitudes (ascending M) whose 2S Majorana points all sit at (theta, phi).
 
     a_m = sqrt(binom(2S, m)) alpha^m beta^(2S-m) for the point's spinor
-    alpha = cos(theta/2), beta = -sin(theta/2) e^{i phi}, summed in log space
+    alpha = cos(theta/2), beta = -sin(theta/2) e^{i phi}, computed in log space
     with math.lgamma and scaled so the largest amplitude is 1. Needs
     0 < theta < pi.
     """
     log_a, log_b = math.log(math.cos(0.5 * theta)), math.log(math.sin(0.5 * theta))
     m = np.arange(two_S + 1)
-    log_mag = np.array(
-        [
-            0.5 * (math.lgamma(two_S + 1) - math.lgamma(k + 1) - math.lgamma(two_S - k + 1))
-            + k * log_a
-            + (two_S - k) * log_b
-            for k in m
-        ]
+    log_binom = np.array(
+        [math.lgamma(two_S + 1) - math.lgamma(k + 1) - math.lgamma(two_S - k + 1) for k in m]
     )
+    log_mag = 0.5 * log_binom + m * log_a + (two_S - m) * log_b
     phase = (two_S - m) * (phi + np.pi)
     return np.exp(log_mag - log_mag.max() + 1j * phase)
 
