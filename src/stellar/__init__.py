@@ -7,76 +7,14 @@ under collective spin rotations) and the plain amplitude polynomial
 matrices, a tensor-product decision procedure, and SVG rendering.
 """
 
-from .altsep import (
-    SeparabilityVerdict,
-    SeparableFactorization,
-    alt_constellation,
-    alt_polynomial,
-    decide_separability,
-    reconstruct_from_factors,
-    separable_constellation,
-)
-from .geometry import (
-    BlochPoint,
-    Constellation,
-    bloch_point,
-    geodesic_distance,
-    match_constellations,
-    matching_max_distance,
-    point_from_cartesian,
-    points_from_roots,
-    to_cartesian,
-)
-from .majorana import (
-    Spinor,
-    majorana_constellation,
-    majorana_polynomial,
-    qubit_majorana_polynomial,
-    sqrt_binomials,
-    state_from_constellation,
-    state_from_spinors,
-    spinor_for_point,
-)
-from .polyroots import (
-    ComplexPolynomial,
-    RootFindingError,
-    RootResult,
-    evaluate,
-    find_roots,
-)
-from .render import RenderSpec, render_svg
-from .rotations import (
-    EulerAngles,
-    euler_from_so3,
-    rotate_constellation,
-    rotate_qubits,
-    rotate_qubits_uniform,
-    rotate_separable_components,
-    rotate_spin,
-    so3_matrix,
-    wigner_D,
-    wigner_small_d,
-)
-from .serialize import (
-    InputFormatError,
-    constellation_from_json,
-    constellation_to_json,
-    state_from_json,
-    state_to_json,
-    verdict_to_json,
-)
-from .states import (
-    BasisLabel,
-    PureState,
-    SpinState,
-    decimal_index,
-    label_from_index,
-    make_pure_state,
-    qubits_from_spin,
-    ray_fidelity,
-    rays_equal,
-    spin_from_qubits,
-    tensor_product,
-)
+# each module's __all__ is the one list of public names
+from .altsep import *
+from .geometry import *
+from .majorana import *
+from .polyroots import *
+from .render import *
+from .rotations import *
+from .serialize import *
+from .states import *
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import BlochPoint, Constellation, bloch_point, points_from_roots
 from .polyroots import ComplexPolynomial, find_roots
-from .states import PureState
+from .states import PureState, tensor_product
 
 __all__ = [
     "SeparableFactorization",
@@ -104,10 +104,8 @@ def decide_separability(
 
 def reconstruct_from_factors(f: SeparableFactorization) -> PureState:
     """Dense amplitude vector of scale * tensor(factors)."""
-    amps = np.array([1.0 + 0.0j])
-    for a, b in f.factors:
-        amps = np.kron(np.array([a, b]), amps)
-    return PureState(len(f.factors), f.scale * amps)
+    qubits = tensor_product([PureState(1, np.array([a, b])) for a, b in f.factors])
+    return PureState(qubits.n_qubits, f.scale * qubits.amplitudes)
 
 
 def separable_constellation(f: SeparableFactorization) -> Constellation:

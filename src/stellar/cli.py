@@ -40,10 +40,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _read_state(path: str) -> PureState:
-    return state_from_json(_read_text(path))
-
-
 def _parse_triple(text: str, degrees: bool) -> EulerAngles:
     parts = text.split(",")
     if len(parts) != 3:
@@ -52,9 +48,17 @@ def _parse_triple(text: str, degrees: bool) -> EulerAngles:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InputFormatError(f"bad angle in {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise InputFormatError(f"angles must be finite, got {text!r}")
     if degrees:
         vals = [v * _DEG for v in vals]
     return EulerAngles(*vals)
+
+
+def _check_tol(tol: float) -> float:
+    if not 0.0 <= tol < math.inf:
+        raise InputFormatError(f"--tol must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _constellation_for(state: PureState, encoding: str, tol: float):
@@ -64,14 +68,15 @@ def _constellation_for(state: PureState, encoding: str, tol: float):
 
 
 def cmd_points(args) -> int:
-    state = _read_state(args.state)
-    constellation = _constellation_for(state, args.encoding, args.tol)
+    tol = _check_tol(args.tol)
+    state = state_from_json(_read_text(args.state))
+    constellation = _constellation_for(state, args.encoding, tol)
     sys.stdout.write(constellation_to_json(constellation))
     return 0
 
 
 def cmd_rotate(args) -> int:
-    state = _read_state(args.state)
+    state = state_from_json(_read_text(args.state))
     if args.mode == "spin":
         if args.angles is None:
             raise InputFormatError("--mode spin requires --angles a,b,g")
@@ -101,8 +106,8 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_check_sep(args) -> int:
-    state = _read_state(args.state)
-    verdict = decide_separability(state, args.tol)
+    tol = _check_tol(args.tol)
+    verdict = decide_separability(state_from_json(_read_text(args.state)), tol)
     sys.stdout.write(verdict_to_json(verdict))
     return 0
 
@@ -220,10 +225,7 @@ def main(argv=None) -> int:
     except RootFindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

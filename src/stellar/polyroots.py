@@ -77,16 +77,8 @@ class RootFindingError(RuntimeError):
 
 def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
     """Evaluate p at a point or an array of points by Horner's rule."""
-    acc = _horner(p.coefficients, np.asarray(x, dtype=complex))
+    acc = np.polyval(p.coefficients[::-1], np.asarray(x, dtype=complex))
     return complex(acc) if np.ndim(x) == 0 else acc
-
-
-def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Values of the coefficient array (low order first) at xs."""
-    val = np.zeros_like(xs)
-    for c in coeffs[::-1]:
-        val = val * xs + c
-    return val
 
 
 def _horner_pair(coeffs: np.ndarray, xs: np.ndarray):
@@ -147,7 +139,7 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         val, der = _horner_pair(coeffs, x)
         step = np.where(der != 0, val / der, 0.0)
         cand = x - step
-        cval = _horner(coeffs, cand)
+        cval = np.polyval(coeffs[::-1], cand)
         better = np.abs(cval) < np.abs(val)
         x = np.where(better, cand, x)
     return x
@@ -157,7 +149,7 @@ def _residual(coeffs_full: np.ndarray, roots: np.ndarray) -> float:
     if roots.size == 0:
         return 0.0
     degree = coeffs_full.shape[0] - 1
-    val = _horner(coeffs_full, roots)
+    val = np.polyval(coeffs_full[::-1], roots)
     scale = np.max(np.abs(coeffs_full)) * np.maximum(1.0, np.abs(roots)) ** degree
     return float(np.max(np.abs(val) / scale))
 

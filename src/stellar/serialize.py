@@ -93,6 +93,8 @@ def constellation_from_json(text: str) -> Constellation:
         pts = tuple(BlochPoint(float(p["theta"]), float(p["phi"])) for p in raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"missing or malformed constellation field: {exc}") from exc
+    if not np.isfinite([(p.theta, p.phi) for p in pts]).all():
+        raise InputFormatError("point angles must be finite")
     try:
         return Constellation(pts, size)
     except ValueError as exc:

@@ -38,6 +38,18 @@ __all__ = [
 DEFAULT_RAY_TOL = 1e-10
 
 
+def _set_amplitudes(state, size: int, owner: str) -> None:
+    """Store state.amplitudes as a complex vector: right length, finite, not all zero."""
+    amps = np.asarray(state.amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.shape[0] != size:
+        raise ValueError(f"expected {size} amplitudes for {owner}, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("state vector has a non-finite amplitude")
+    if not np.any(np.abs(amps) > 0):
+        raise ValueError("state vector is identically zero")
+    object.__setattr__(state, "amplitudes", amps)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unnormalized N-qubit pure state in the decimal basis ordering."""
@@ -46,17 +58,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if amps.ndim != 1 or amps.shape[0] != 2**self.n_qubits:
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
-        if not np.any(np.abs(amps) > 0):
-            raise ValueError("state vector is identically zero")
+        _set_amplitudes(self, 2**self.n_qubits, f"{self.n_qubits} qubits")
 
 
 @dataclass(frozen=True)
@@ -70,17 +74,9 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
         if self.two_S < 1:
             raise ValueError("two_S must be a positive integer")
-        if amps.ndim != 1 or amps.shape[0] != self.two_S + 1:
-            raise ValueError(
-                f"expected {self.two_S + 1} amplitudes for two_S={self.two_S}, "
-                f"got shape {amps.shape}"
-            )
-        if not np.any(np.abs(amps) > 0):
-            raise ValueError("state vector is identically zero")
+        _set_amplitudes(self, self.two_S + 1, f"two_S={self.two_S}")
 
 
 @dataclass(frozen=True)

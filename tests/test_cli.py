@@ -143,6 +143,8 @@ def test_rotate_per_qubit_angles(tmp_path, capsys, product_pair):
         ["--mode", "qubits"],  # neither angle form
         ["--mode", "qubits", "--angles-per-qubit", "0,0,0"],  # wrong count
         ["--mode", "spin", "--angles", "0,0,0", "--angles-per-qubit", "0,0,0;0,0,0"],
+        ["--mode", "spin", "--angles", "inf,0,0"],  # not finite
+        ["--mode", "qubits", "--angles", "nan,0,0"],  # not finite
     ],
 )
 def test_rotate_flag_validation(tmp_path, capsys, product_pair, extra):
@@ -150,6 +152,8 @@ def test_rotate_flag_validation(tmp_path, capsys, product_pair, extra):
     code, _, err = run(capsys, ["rotate", path] + extra)
     assert code == 2
     assert "error:" in err
+    # a bad flag is reported as such, not as a defect of the rotated state
+    assert "identically zero" not in err
 
 
 def test_check_sep_verdicts(tmp_path, capsys, ent_pair):
@@ -172,6 +176,26 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["points", str(bad)])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("encoding", ["majorana", "alt"])
+def test_non_finite_amplitude_exits_two(tmp_path, capsys, encoding):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"n_qubits": 2, "amplitudes": [[1, 0], [NaN, 0], [0, 0], [1, 0]]}')
+    code, out, err = run(capsys, ["points", str(bad), "--encoding", encoding])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["points", "check-sep"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
+    path = write_state(tmp_path, helpers.bell_pair())
+    code, out, err = run(capsys, [command, path, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -231,6 +255,19 @@ def test_render_rejects_undersized_canvas(tmp_path, capsys, ent_pair):
     code, _, err = run(capsys, ["render", str(cpath), "--size", "63"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_render_rejects_non_finite_angles(tmp_path, capsys, bad):
+    cpath = tmp_path / "c.json"
+    cpath.write_text(
+        f'{{"expected_size": 2, "points": [{{"theta": {bad}, "phi": 0.0}}, '
+        '{"theta": 1.0, "phi": 0.5}]}'
+    )
+    code, out, err = run(capsys, ["render", str(cpath)])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
 
 
 def test_demo_writes_all_panels(tmp_path, capsys):

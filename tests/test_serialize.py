@@ -99,6 +99,10 @@ def test_constellation_to_json_refuses_non_finite(bad):
         '{"expected_size": 2, "points": [{"theta": 0.0, "phi": 0.0}]}',
         '{"expected_size": 1, "points": [{"theta": 0.0}]}',
         '{"expected_size": 1, "points": [[0.0, 0.0]]}',
+        '{"expected_size": 2, "points": [{"theta": NaN, "phi": 0.0}, '
+        '{"theta": 1.0, "phi": 0.0}]}',
+        '{"expected_size": 1, "points": [{"theta": 1.0, "phi": Infinity}]}',
+        '{"expected_size": 1, "points": [{"theta": -Infinity, "phi": 0.0}]}',
     ],
 )
 def test_constellation_from_json_rejects_malformed(text):

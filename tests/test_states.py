@@ -37,6 +37,9 @@ def test_make_pure_state_single_qubit():
         (2, [1.0, 0.0]),  # wrong length
         (0, [1.0]),  # no qubits
         (2, [[1.0, 0.0], [0.0, 1.0]]),  # not 1-d
+        (2, [1.0, np.nan, 0.0, 1.0]),  # NaN amplitude
+        (1, [np.inf, 1.0]),  # infinite amplitude
+        (1, [1.0, complex(0.0, -np.inf)]),  # infinite imaginary part
     ],
 )
 def test_make_pure_state_rejects_bad_input(n, amps):
@@ -51,6 +54,10 @@ def test_spin_state_validation():
         SpinState(2, [1.0, 0.0])
     with pytest.raises(ValueError):
         SpinState(1, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        SpinState(1, [1.0, np.nan])
+    with pytest.raises(ValueError):
+        SpinState(2, [np.inf, 0.0, 1.0])
 
 
 def test_basis_label_validation():
