@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BlochPoint, Constellation, bloch_point, points_from_roots
+from .geometry import Constellation, _from_angles, points_from_roots
 from .polyroots import ComplexPolynomial, find_roots
 from .states import PureState, tensor_product
 
@@ -115,19 +115,16 @@ def separable_constellation(f: SeparableFactorization) -> Constellation:
     |a_j / b_j|^(1/2^j) with azimuths (arg(-a_j/b_j) + 2 pi m) / 2^j; a
     vanishing b_j parks all 2^j points at the south pole.
     """
-    pts: list[BlochPoint] = []
+    thetas, phis = [np.empty(0)], [np.empty(0)]
     for j, (a, b) in enumerate(f.factors):
         count = 2**j
-        if b == 0:
-            pts.extend([BlochPoint(float(np.pi), 0.0)] * count)
-            continue
-        ratio = -a / b
-        theta = 2.0 * np.arctan(abs(ratio) ** (1.0 / count))
-        base = np.angle(ratio)
-        pts.extend(
-            bloch_point(theta, (base + 2.0 * np.pi * m) / count) for m in range(count)
-        )
-    return Constellation(tuple(pts), 2 ** len(f.factors) - 1)
+        theta, base = np.pi, 0.0
+        if b != 0:
+            ratio = -a / b
+            theta, base = 2.0 * np.arctan(abs(ratio) ** (1.0 / count)), np.angle(ratio)
+        thetas.append(np.full(count, theta))
+        phis.append((base + 2.0 * np.pi * np.arange(count)) / count)
+    return _from_angles(np.concatenate(thetas), np.concatenate(phis))
 
 
 def alt_constellation(state: PureState, tol: float = 1e-12) -> Constellation:

@@ -18,9 +18,6 @@ __all__ = [
     "matching_max_distance",
 ]
 
-_TWO_PI = 2.0 * np.pi
-
-
 @dataclass(frozen=True)
 class BlochPoint:
     """Sphere point with polar angle theta in [0, pi], azimuth phi in [0, 2pi).
@@ -46,20 +43,38 @@ class Constellation:
             )
 
 
+def _from_angles(thetas, phis) -> Constellation:
+    """Points under the one canonical-angle rule: theta clamped into [0, pi],
+    phi wrapped into [0, 2pi), and phi = 0 where theta is exactly 0 or pi."""
+    thetas = np.clip(np.asarray(thetas, dtype=float), 0.0, np.pi)
+    phis = np.where((thetas == 0.0) | (thetas == np.pi), 0.0, np.mod(phis, 2.0 * np.pi))
+    return Constellation(tuple(map(BlochPoint, thetas.tolist(), phis.tolist())), thetas.size)
+
+
+def _angles(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi arrays of a constellation's points, in order."""
+    return np.array([(p.theta, p.phi) for p in constellation.points]).reshape(-1, 2).T
+
+
+def _from_cartesian(rows) -> Constellation:
+    """Canonical sphere points for the directions of nonzero 3-vector rows."""
+    x, y, z = np.asarray(rows, dtype=float).T
+    rho = np.hypot(x, y)
+    if np.any((rho == 0.0) & (z == 0.0)):
+        raise ValueError("zero vector has no direction")
+    return _from_angles(np.arctan2(rho, z), np.where(rho > 0.0, np.arctan2(y, x), 0.0))
+
+
 def bloch_point(theta: float, phi: float) -> BlochPoint:
     """Canonicalize angles: clamp theta into [0, pi], wrap phi, fix poles."""
-    theta = float(min(max(theta, 0.0), np.pi))
-    phi = float(np.mod(phi, _TWO_PI))
-    if theta == 0.0 or theta == np.pi:
-        phi = 0.0
-    return BlochPoint(theta, phi)
+    return _from_angles([theta], [phi]).points[0]
 
 
 def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Constellation:
     """Map polynomial roots to sphere points via tan(theta/2) e^{i phi} = x.
 
-    Each missing leading degree contributes one south-pole point, so the
-    constellation always carries expected_size points.
+    Each missing leading degree is a root at infinity, one south-pole point,
+    so the constellation always carries expected_size points.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.shape[0] + leading_deficiency != expected_size:
@@ -67,28 +82,21 @@ def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Con
             f"{roots.shape[0]} roots + deficiency {leading_deficiency} "
             f"!= expected size {expected_size}"
         )
-    pts = [bloch_point(2.0 * np.arctan(abs(x)), np.angle(x)) for x in roots]
-    pts += [BlochPoint(float(np.pi), 0.0)] * leading_deficiency
-    return Constellation(tuple(pts), expected_size)
+    x = np.append(roots, np.full(leading_deficiency, np.inf))
+    # hypot, not np.abs: on AVX-512 np.abs can differ from the scalar in the last bit
+    return _from_angles(2.0 * np.arctan(np.hypot(x.real, x.imag)), np.angle(x))
 
 
 def to_cartesian(obj) -> np.ndarray:
     """Unit vector(s) for a BlochPoint or a Constellation."""
-    if isinstance(obj, Constellation):
-        return np.array([to_cartesian(p) for p in obj.points]).reshape(-1, 3)
-    st, ct = np.sin(obj.theta), np.cos(obj.theta)
-    return np.array([st * np.cos(obj.phi), st * np.sin(obj.phi), ct])
+    theta, phi = _angles(obj) if isinstance(obj, Constellation) else (obj.theta, obj.phi)
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def point_from_cartesian(v) -> BlochPoint:
     """Sphere point for a (not necessarily unit) nonzero 3-vector."""
-    x, y, z = (float(c) for c in v)
-    rho = np.hypot(x, y)
-    if rho == 0.0 and z == 0.0:
-        raise ValueError("zero vector has no direction")
-    theta = np.arctan2(rho, z)
-    phi = np.arctan2(y, x) if rho > 0.0 else 0.0
-    return bloch_point(theta, phi)
+    return _from_cartesian(np.asarray(v, dtype=float).reshape(1, 3)).points[0]
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:

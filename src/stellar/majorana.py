@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BlochPoint, Constellation, points_from_roots
+from .geometry import BlochPoint, Constellation, _angles, points_from_roots
 from .polyroots import ComplexPolynomial, RootResult, find_roots
 from .states import PureState, SpinState, spin_from_qubits
 
@@ -42,11 +42,11 @@ class Spinor(NamedTuple):
 
 
 def sqrt_binomials(n: int) -> np.ndarray:
-    """sqrt(binom(n, k)) for k = 0..n, by accumulated multiplication."""
-    row = np.empty(n + 1)
-    row[0] = 1.0
+    """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded once."""
+    row, c = [1.0], 1
     for k in range(n):
-        row[k + 1] = row[k] * (n - k) / (k + 1)
+        c = c * (n - k) // (k + 1)
+        row.append(float(c))
     return np.sqrt(row)
 
 
@@ -76,15 +76,19 @@ def state_from_spinors(spinors: list[Spinor], scale: complex = 1.0) -> SpinState
             raise ValueError("spinor (0, 0) does not define a direction")
         coeffs = np.convolve(coeffs, np.array([b, a]))
     two_s = len(spinors)
-    padded = np.zeros(two_s + 1, dtype=complex)
-    padded[: coeffs.shape[0]] = coeffs
-    return SpinState(two_s, scale * padded / sqrt_binomials(two_s))
+    return SpinState(two_s, scale * coeffs / sqrt_binomials(two_s))
+
+
+def _spinors(constellation: Constellation) -> list[Spinor]:
+    """Spinor of each point's direction: (cos t/2, -sin t/2 e^{i phi})."""
+    theta, phi = _angles(constellation)
+    half = 0.5 * theta
+    return list(map(Spinor, np.cos(half), -np.sin(half) * np.exp(1j * phi)))
 
 
 def spinor_for_point(point: BlochPoint) -> Spinor:
     """Spinor whose direction is the given point: (cos t/2, -sin t/2 e^{i phi})."""
-    half = 0.5 * point.theta
-    return Spinor(np.cos(half), -np.sin(half) * np.exp(1j * point.phi))
+    return _spinors(Constellation((point,), 1))[0]
 
 
 def majorana_constellation(
@@ -97,5 +101,4 @@ def majorana_constellation(
 
 def state_from_constellation(constellation: Constellation) -> SpinState:
     """Spin state whose Majorana points are the given constellation (scale 1)."""
-    spinors = [spinor_for_point(p) for p in constellation.points]
-    return state_from_spinors(spinors)
+    return state_from_spinors(_spinors(constellation))

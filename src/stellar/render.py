@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Constellation, to_cartesian
+from .geometry import Constellation, _angles, to_cartesian
 
 __all__ = ["RenderSpec", "render_svg"]
 
@@ -41,13 +41,6 @@ class RenderSpec:
 def _fmt(v: float) -> str:
     out = f"{v:.3f}"
     return "0.000" if out == "-0.000" else out
-
-
-def _project(xyz: np.ndarray, projection: str) -> tuple[float, float, float]:
-    x, y, z = (float(c) for c in xyz)
-    if projection == "front":
-        return y, z, x
-    return x, y, z
 
 
 def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
@@ -79,18 +72,18 @@ def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
                 f'stroke="#99aabb" stroke-width="1" stroke-dasharray="5,4"/>'
             )
 
-    projected = []
-    for p in constellation.points:
-        u, v, depth = _project(to_cartesian(p), spec.projection)
-        projected.append((u, v, depth >= -_LIMB_TOL, p.theta, p.phi))
+    view = [1, 2, 0] if spec.projection == "front" else [0, 1, 2]
+    u, v, depth = to_cartesian(constellation)[:, view].T
+    near = depth >= -_LIMB_TOL
     # far hemisphere first so near points overdraw; then deterministic order
-    projected.sort(key=lambda t: (t[2], t[3], t[4]))
+    theta, phi = _angles(constellation)
+    order = np.lexsort((phi, theta, near))
 
     groups: dict[tuple[str, str], int] = {}
-    for u, v, near, _t, _p in projected:
-        key = (px(u), py(v))
+    for x, y, is_near in zip(u[order].tolist(), v[order].tolist(), near[order].tolist()):
+        key = (px(x), py(y))
         groups[key] = groups.get(key, 0) + 1
-        fill, opacity = ("#1f5fbf", "1.0") if near else ("#7da4d6", "0.55")
+        fill, opacity = ("#1f5fbf", "1.0") if is_near else ("#7da4d6", "0.55")
         lines.append(
             f'<circle cx="{key[0]}" cy="{key[1]}" r="{_fmt(spec.point_radius_px)}" '
             f'fill="{fill}" fill-opacity="{opacity}" stroke="#10305f" stroke-width="1"/>'

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Constellation, point_from_cartesian, to_cartesian
+from .geometry import Constellation, _from_cartesian, to_cartesian
 from .states import PureState, SpinState
 
 __all__ = [
@@ -157,6 +157,4 @@ def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
 
 def rotate_constellation(constellation: Constellation, matrix: np.ndarray) -> Constellation:
     """Move every point by one SO(3) matrix."""
-    rotated = to_cartesian(constellation) @ np.asarray(matrix, dtype=float).T
-    pts = tuple(point_from_cartesian(v) for v in rotated)
-    return Constellation(pts, constellation.expected_size)
+    return _from_cartesian(to_cartesian(constellation) @ np.asarray(matrix, dtype=float).T)

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own fast paths: the
 permutation sum expands the symmetrized product the factorial-cost way,
 the minimum-cost assignment is found by trying every permutation, the
 spin-1/2 rotation is written out in closed form, Wigner matrices come from
-dense matrix exponentials and from the factorial sum, and coherent states
-are built term by term in log space, so agreement with the package is
+dense matrix exponentials and from the factorial sum, coherent states are
+built term by term in log space, and sphere points are built and read one
+point at a time with scalar arithmetic, so agreement with the package is
 evidence rather than tautology.
 """
 
@@ -206,3 +207,83 @@ def ray_mismatch(a, b) -> float:
     b = b / np.linalg.norm(b)
     overlap = np.vdot(a, b)
     return float(np.abs(a * (overlap / abs(overlap)) - b).max())
+
+
+def scalar_bloch_point(theta: float, phi: float) -> BlochPoint:
+    """The canonical-angle rule for one point: clamp theta, wrap phi, phi = 0 at poles."""
+    theta = float(min(max(theta, 0.0), np.pi))
+    phi = float(np.mod(phi, 2.0 * np.pi))
+    if theta == 0.0 or theta == np.pi:
+        phi = 0.0
+    return BlochPoint(theta, phi)
+
+
+def pointwise_points_from_roots(roots, leading_deficiency: int) -> tuple:
+    """Root by root: theta = 2 atan|x|, phi = arg x; then one south pole per deficiency."""
+    pts = [scalar_bloch_point(2.0 * np.arctan(abs(x)), np.angle(x)) for x in roots]
+    return tuple(pts) + (BlochPoint(float(np.pi), 0.0),) * leading_deficiency
+
+
+def pointwise_cartesian(p: BlochPoint) -> np.ndarray:
+    """Unit vector of one point from scalar sines and cosines."""
+    st, ct = np.sin(p.theta), np.cos(p.theta)
+    return np.array([st * np.cos(p.phi), st * np.sin(p.phi), ct])
+
+
+def pointwise_point_from_cartesian(v) -> BlochPoint:
+    """Direction of one nonzero 3-vector, phi = 0 on the z axis."""
+    x, y, z = (float(c) for c in v)
+    rho = np.hypot(x, y)
+    if rho == 0.0 and z == 0.0:
+        raise ValueError("zero vector has no direction")
+    phi = np.arctan2(y, x) if rho > 0.0 else 0.0
+    return scalar_bloch_point(np.arctan2(rho, z), phi)
+
+
+def per_qubit_separable_points(factors) -> tuple:
+    """Closed-form points of a product state, qubit by qubit and point by point.
+
+    Qubit j with b_j != 0 gives 2^j points at tan(theta/2) = |a_j/b_j|^(1/2^j)
+    and phi = (arg(-a_j/b_j) + 2 pi m) / 2^j; b_j = 0 gives 2^j south poles.
+    """
+    pts = []
+    for j, (a, b) in enumerate(factors):
+        count = 2**j
+        if b == 0:
+            pts.extend([BlochPoint(float(np.pi), 0.0)] * count)
+            continue
+        ratio = -a / b
+        theta = 2.0 * np.arctan(abs(ratio) ** (1.0 / count))
+        base = np.angle(ratio)
+        pts.extend(
+            scalar_bloch_point(theta, (base + 2.0 * np.pi * m) / count) for m in range(count)
+        )
+    return tuple(pts)
+
+
+def pointwise_spinor(p: BlochPoint) -> tuple:
+    """(cos t/2, -sin t/2 e^{i phi}) for one point."""
+    half = 0.5 * p.theta
+    return np.cos(half), -np.sin(half) * np.exp(1j * p.phi)
+
+
+def root_spread(rng, count: int) -> np.ndarray:
+    """Roots with |x| from e^-8 to e^8, plus 0, negative reals and -0.0 imaginary parts."""
+    x = np.exp(rng.uniform(-8.0, 8.0, count)) * np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+    special = [0.0, complex(-0.0, -0.0), -2.5, complex(-1.0, -0.0), complex(3.0, -0.0),
+               complex(0.0, -1.5), complex(-0.0, 2.0), 1.0]
+    return np.concatenate([special, x]).astype(complex)
+
+
+def coincident_points(rng, count: int) -> Constellation:
+    """count uniform points, where every fifth repeats its predecessor and a few sit on
+    the poles and the front limb."""
+    pts = []
+    for _ in range(count):
+        theta = float(np.arccos(rng.uniform(-1.0, 1.0)))
+        pts.append(BlochPoint(theta, float(rng.uniform(0.0, 2 * np.pi))))
+    for i in range(5, count, 5):
+        pts[i] = pts[i - 1]
+    pts[:4] = [BlochPoint(0.0, 0.0), BlochPoint(np.pi, 0.0)] * 2
+    pts[4] = BlochPoint(np.pi / 2, np.pi / 2)
+    return Constellation(tuple(pts), count)

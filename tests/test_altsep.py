@@ -209,3 +209,16 @@ def test_alt_constellation_is_ray_invariant():
 def test_single_qubit_ground_state_sits_at_south_pole():
     c = alt_constellation(make_pure_state(1, [1.0, 0.0]))
     assert c.points == (helpers.make_constellation([(np.pi, 0.0)]).points)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_separable_constellation_matches_per_qubit_oracle(n):
+    rng = np.random.default_rng(605 + n)
+    factors = [
+        (complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))) for _ in range(n)
+    ]
+    factors[0] = (0j, 1 + 0j)  # a_j = 0: north pole
+    factors[n // 2] = (1 + 0j, 0j)  # b_j = 0: south poles
+    c = separable_constellation(SeparableFactorization(tuple(factors), 1 + 0j))
+    assert c.expected_size == 2**n - 1
+    assert c.points == helpers.per_qubit_separable_points(factors)

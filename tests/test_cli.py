@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,23 @@ def test_non_finite_amplitude_exits_two(tmp_path, capsys, encoding):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and err.startswith("error:")
+
+
+def test_ten_qubit_majorana_points_exits_three_without_traceback():
+    # a fresh process, so an uncaught exception would show as a traceback on stderr
+    amps = np.random.default_rng(10).standard_normal((1024, 2))
+    doc = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
+    src = str(Path(stellar.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stellar.cli", "points", "-", "--encoding", "majorana"],
+        input=doc, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["points", "check-sep"])

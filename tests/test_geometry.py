@@ -136,3 +136,41 @@ def test_assignment_recovers_large_shuffles(n):
     a = helpers.make_constellation(pts_a)
     b = helpers.make_constellation(pts_b)
     assert matching_max_distance(a, b) <= 1e-12
+
+
+# The array path against the point-by-point oracles in helpers: exact equality.
+
+
+@pytest.mark.parametrize("count, deficiency", [(0, 3), (9, 0), (40, 2), (1023, 0), (1015, 8)])
+def test_points_from_roots_matches_pointwise_oracle(count, deficiency):
+    roots = helpers.root_spread(np.random.default_rng(600 + count), count)
+    c = points_from_roots(roots, deficiency, roots.shape[0] + deficiency)
+    assert c.points == helpers.pointwise_points_from_roots(roots, deficiency)
+
+
+def test_bloch_point_matches_scalar_oracle():
+    rng = np.random.default_rng(601)
+    thetas = np.append(rng.uniform(-1.0, 4.5, 200), [0.0, -0.0, np.pi, 3.5, -0.1])
+    phis = np.append(rng.uniform(-20.0, 20.0, 200), [1.7, 2.0, -1e-20, 2 * np.pi, -np.pi])
+    for t, p in zip(thetas.tolist(), phis.tolist()):
+        assert bloch_point(t, p) == helpers.scalar_bloch_point(t, p)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1023])
+def test_to_cartesian_matches_pointwise_oracle(count):
+    c = helpers.coincident_points(np.random.default_rng(602), 1023)
+    c = Constellation(c.points[:count], count)
+    expected = np.array([helpers.pointwise_cartesian(p) for p in c.points]).reshape(-1, 3)
+    np.testing.assert_array_equal(to_cartesian(c), expected)
+    for p in c.points:
+        np.testing.assert_array_equal(to_cartesian(p), helpers.pointwise_cartesian(p))
+
+
+def test_point_from_cartesian_matches_pointwise_oracle():
+    rng = np.random.default_rng(603)
+    vectors = rng.standard_normal((300, 3)) * np.exp(rng.uniform(-8, 8, (300, 1)))
+    vectors[::7, :2] = 0.0
+    vectors[1::7, 2] = 0.0
+    vectors[2::7, 1] = -0.0
+    for v in vectors:
+        assert point_from_cartesian(v) == helpers.pointwise_point_from_cartesian(v)

@@ -5,6 +5,7 @@ import pytest
 
 from stellar import (
     BlochPoint,
+    Constellation,
     Spinor,
     SpinState,
     find_roots,
@@ -193,3 +194,39 @@ def test_degree_deficiency_becomes_south_poles():
     c = majorana_constellation(SpinState(6, amps))
     south = [p for p in c.points if p.theta == np.pi]
     assert len(south) == 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 30, 31, 32, 100, 511, 1023])
+def test_sqrt_binomials_square_to_exact_binomials(n):
+    row = sqrt_binomials(n)
+    assert np.all(np.isfinite(row))
+    for k, s in enumerate(row.tolist()):
+        assert math.isclose(s * s, math.comb(n, k), rel_tol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("count", [1, 7, 31, 1023])
+def test_spinor_map_matches_pointwise_oracle(count):
+    c = helpers.coincident_points(np.random.default_rng(606), 1023)
+    c = Constellation(c.points[:count], count)
+    spinors = [Spinor(*helpers.pointwise_spinor(p)) for p in c.points]
+    for p, expected in zip(c.points, spinors):
+        assert tuple(spinor_for_point(p)) == tuple(expected)
+    np.testing.assert_array_equal(
+        state_from_constellation(c).amplitudes, state_from_spinors(spinors).amplitudes
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coherent_inverse_at_1023_points(seed):
+    rng = np.random.default_rng(607 + seed)
+    theta, phi = float(np.arccos(rng.uniform(-1.0, 1.0))), float(rng.uniform(0.0, 2 * np.pi))
+    state = state_from_constellation(Constellation((BlochPoint(theta, phi),) * 1023, 1023))
+    assert rays_equal(state.amplitudes, helpers.coherent_amplitudes(1023, theta, phi))
+
+
+@pytest.mark.parametrize("north", [0, 1, 511, 600, 767, 1022, 1023])
+def test_dicke_inverse_at_1023_points(north):
+    # north points at the north pole and the rest at the south pole: level m = north
+    pts = (BlochPoint(0.0, 0.0),) * north + (BlochPoint(np.pi, 0.0),) * (1023 - north)
+    state = state_from_constellation(Constellation(pts, 1023))
+    assert rays_equal(state.amplitudes, np.eye(1024)[north])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,21 @@ def test_point_radius_is_respected():
 def test_render_spec_validation(kwargs):
     with pytest.raises(ValueError):
         RenderSpec(**kwargs)
+
+
+# recorded from the point-by-point projection and sort that the array path replaced
+COINCIDENT_1023_DIGESTS = {
+    ("front", False): "bd3c47cdd70e19268249cddf5082a014d52497aab06cf7929ead57f5c214514f",
+    ("front", True): "270351270635865fc87db932273f22c68e0c7b091d03334ccfd039b594a73c8a",
+    ("top", False): "31e6fd704d49377a0c5b8826d33607a7b2de68adc8fcd35f83e19c967d61d317",
+    ("top", True): "c7752a2a97dbdc18219f30f8d40eb9cbae9be85fc934f2ba8d0ebc3dec2f1a90",
+}
+
+
+@pytest.mark.parametrize("projection, axes", sorted(COINCIDENT_1023_DIGESTS))
+def test_coincident_1023_points_match_recorded_digest(projection, axes):
+    c = helpers.coincident_points(np.random.default_rng(608), 1023)
+    svg = render_svg(c, RenderSpec(projection=projection, show_axes=axes))
+    assert "&#215;" in svg
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == COINCIDENT_1023_DIGESTS[(projection, axes)]

@@ -284,3 +284,20 @@ def test_per_qubit_rotation_is_not_rigid(ent_pair):
 
     gaps = np.abs(np.array(distance_multiset(original)) - distance_multiset(twisted))
     assert gaps.max() > 1e-3
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [(0.0, 0.0, 0.0), (0.0, np.pi, 0.0), (0.0, np.pi / 2, 0.0), (0.0, -np.pi / 2, 0.0),
+     (np.pi / 2, np.pi / 2, 0.0), (1.0, 0.0, 2.0), (0.3, 1.1, 2.0)],
+    ids=["identity", "flip", "quarter", "minus-quarter", "x-to-pole", "about-z", "generic"],
+)
+def test_rotate_constellation_matches_pointwise_oracle(angles):
+    # the quarter turns and the flip carry equator and pole points onto the poles
+    c = helpers.coincident_points(np.random.default_rng(604), 1023)
+    r = so3_matrix(EulerAngles(*angles))
+    expected = tuple(
+        helpers.pointwise_point_from_cartesian(v)
+        for v in np.array([helpers.pointwise_cartesian(p) for p in c.points]) @ r.T
+    )
+    assert rotate_constellation(c, r).points == expected
