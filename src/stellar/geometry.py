@@ -47,7 +47,9 @@ def _from_angles(thetas, phis) -> Constellation:
     """Points under the one canonical-angle rule: theta clamped into [0, pi],
     phi wrapped into [0, 2pi), and phi = 0 where theta is exactly 0 or pi."""
     thetas = np.clip(np.asarray(thetas, dtype=float), 0.0, np.pi)
-    phis = np.where((thetas == 0.0) | (thetas == np.pi), 0.0, np.mod(phis, 2.0 * np.pi))
+    # np.mod rounds phi in about (-4.4e-16, 0) up to exactly 2pi
+    phis = np.mod(phis, 2.0 * np.pi)
+    phis = np.where((thetas == 0.0) | (thetas == np.pi) | (phis == 2.0 * np.pi), 0.0, phis)
     return Constellation(tuple(map(BlochPoint, thetas.tolist(), phis.tolist())), thetas.size)
 
 

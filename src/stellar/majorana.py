@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import BlochPoint, Constellation, _angles, points_from_roots
-from .polyroots import ComplexPolynomial, RootResult, find_roots
+from .polyroots import ComplexPolynomial, _find_roots
 from .states import PureState, SpinState, spin_from_qubits
 
 __all__ = [
@@ -41,8 +41,16 @@ class Spinor(NamedTuple):
     beta: complex
 
 
+# binom(1030, 515) is the first central binomial beyond the float64 range
+_MAX_TWO_S = 1029
+
+
 def sqrt_binomials(n: int) -> np.ndarray:
     """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded once."""
+    if n > _MAX_TWO_S:
+        raise ValueError(
+            f"Majorana weights need 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"
+        )
     row, c = [1.0], 1
     for k in range(n):
         c = c * (n - k) // (k + 1)
@@ -94,8 +102,13 @@ def spinor_for_point(point: BlochPoint) -> Spinor:
 def majorana_constellation(
     state: SpinState, tol: float = 1e-12
 ) -> Constellation:
-    """The 2S Majorana points of a spin state (multiset, south poles padded)."""
-    result: RootResult = find_roots(majorana_polynomial(state), tol)
+    """The 2S Majorana points of a spin state (multiset, south poles padded).
+
+    Deflation is judged on the amplitudes, not on the weighted coefficients:
+    the weights span about 1e18 at 2S = 127, so a relative test on the
+    weighted ends would send genuine roots to the poles.
+    """
+    result = _find_roots(majorana_polynomial(state), np.abs(state.amplitudes), tol)
     return points_from_roots(result.roots, result.leading_deficiency, state.two_S)
 
 

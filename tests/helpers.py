@@ -5,12 +5,14 @@ permutation sum expands the symmetrized product the factorial-cost way,
 the minimum-cost assignment is found by trying every permutation, the
 spin-1/2 rotation is written out in closed form, Wigner matrices come from
 dense matrix exponentials and from the factorial sum, coherent states are
-built term by term in log space, and sphere points are built and read one
-point at a time with scalar arithmetic, so agreement with the package is
-evidence rather than tautology.
+built term by term in log space, sphere points are built and read one
+point at a time with scalar arithmetic, and reference roots come from the
+companion matrix's eigenvalues with residuals in extended precision, so
+agreement with the package is evidence rather than tautology.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -77,6 +79,65 @@ def w_state(n: int) -> PureState:
     for j in range(n):
         amps[2**j] = 1.0
     return PureState(n, amps)
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def extended_horner(coeffs, x):
+    """p(x) for low-order-first coefficients, in numpy's extended precision."""
+    acc = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def extended_residual(coeffs, roots) -> float:
+    """The root finder's contract max |p(x)| / (max|c| max(1,|x|)^d), evaluated
+    in extended precision, through the reversed polynomial at 1/x for |x| > 1."""
+    c = np.asarray(coeffs, dtype=np.clongdouble)
+    c = c / np.max(np.abs(c))
+    x = np.asarray(roots).astype(np.clongdouble)
+    big = np.abs(x) > 1
+    y = np.where(big, 1 / np.where(big, x, 1), x)
+    return float(np.max(np.abs(np.where(big, extended_horner(c[::-1], y), extended_horner(c, y)))))
+
+
+def reference_roots(coeffs) -> np.ndarray:
+    """numpy.roots (companion-matrix eigenvalues), then three Newton steps in
+    extended precision."""
+    c = np.asarray(coeffs, dtype=complex)
+    x = np.roots(c[::-1]).astype(np.clongdouble)
+    c = c.astype(np.clongdouble)
+    for _ in range(3):
+        val, der = np.zeros_like(x), np.zeros_like(x)
+        for ck in c[::-1]:
+            der = der * x + val
+            val = val * x + ck
+        x = x - val / der
+    return x.astype(complex)
+
+
+def max_chordal_mismatch(constellation, roots) -> float:
+    """Largest chordal distance between the constellation's points and the
+    sphere images of the roots, under the best one-to-one pairing."""
+    theta = np.array([p.theta for p in constellation.points])
+    phi = np.array([p.phi for p in constellation.points])
+    roots = np.asarray(roots, dtype=complex)
+
+    def unit(t, f):
+        return np.stack([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)], axis=-1)
+
+    u, v = unit(theta, phi), unit(2.0 * np.arctan(np.abs(roots)), np.angle(roots))
+    cost = np.linalg.norm(u[:, None, :] - v[None, :, :], axis=-1)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def max_complex_mismatch(found, expected) -> float:
@@ -213,7 +274,7 @@ def scalar_bloch_point(theta: float, phi: float) -> BlochPoint:
     """The canonical-angle rule for one point: clamp theta, wrap phi, phi = 0 at poles."""
     theta = float(min(max(theta, 0.0), np.pi))
     phi = float(np.mod(phi, 2.0 * np.pi))
-    if theta == 0.0 or theta == np.pi:
+    if theta == 0.0 or theta == np.pi or phi == 2.0 * np.pi:
         phi = 0.0
     return BlochPoint(theta, phi)
 

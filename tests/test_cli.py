@@ -14,6 +14,7 @@ from stellar import (
     RootFindingError,
     constellation_from_json,
     majorana_constellation,
+    majorana_polynomial,
     matching_max_distance,
     spin_from_qubits,
     state_from_json,
@@ -192,21 +193,36 @@ def test_non_finite_amplitude_exits_two(tmp_path, capsys, encoding):
     assert err.count("error:") == 1 and err.startswith("error:")
 
 
-def test_ten_qubit_majorana_points_exits_three_without_traceback():
-    # a fresh process, so an uncaught exception would show as a traceback on stderr
-    amps = np.random.default_rng(10).standard_normal((1024, 2))
-    doc = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
+def run_fresh(argv, n_qubits, seed):
+    """A seeded state piped into a fresh `python -m stellar.cli` process, so an
+    uncaught exception would show as a traceback on stderr."""
+    amps = np.random.default_rng(seed).standard_normal((2**n_qubits, 2))
+    doc = json.dumps({"n_qubits": n_qubits, "amplitudes": amps.tolist()})
     src = str(Path(stellar.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stellar.cli", "points", "-", "--encoding", "majorana"],
+    return subprocess.run(
+        [sys.executable, "-m", "stellar.cli", *argv],
         input=doc, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 3
+
+
+def test_ten_qubit_majorana_points_exit_zero_without_traceback():
+    proc = run_fresh(["points", "-", "--encoding", "majorana"], 10, 10)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    points = helpers.strict_json(proc.stdout)["points"]
+    assert len(points) == 1023
+    assert all(0.0 < p["theta"] < np.pi for p in points)
+
+
+def test_eleven_qubit_majorana_points_exits_two_naming_the_limit():
+    proc = run_fresh(["points", "-", "--encoding", "majorana"], 11, 11)
+    assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error:")
+    assert proc.stderr.count("error:") == 1 and proc.stderr.startswith("error:")
+    assert "2S <= 1029" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["points", "check-sep"])
@@ -245,15 +261,17 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_six_qubit_majorana_nan_roots_exit_three(tmp_path, capsys):
-    # the degree-63 Majorana polynomial of a random 6-qubit state drives the
-    # root finder to NaN; that must fail the residual contract, not print NaN
+def test_six_qubit_majorana_points_match_reference(tmp_path, capsys):
+    # this degree-63 Majorana polynomial once drove the root finder to NaN
     state = helpers.random_state(np.random.default_rng(66), 6)
     path = write_state(tmp_path, state)
     code, out, err = run(capsys, ["points", path, "--encoding", "majorana"])
-    assert code == 3
-    assert out == ""
-    assert "best residual" in err
+    assert code == 0
+    assert err == ""
+    helpers.strict_json(out)
+    points = constellation_from_json(out)
+    reference = helpers.reference_roots(majorana_polynomial(spin_from_qubits(state)).coefficients)
+    assert helpers.max_chordal_mismatch(points, reference) <= 1e-9
 
 
 def test_render_from_points_pipeline(tmp_path, capsys, ent_pair):

@@ -1,0 +1,94 @@
+"""Forward calls from 5 to 10 qubits: state -> polynomial -> roots -> points.
+
+Every Gaussian state here must come back with finite points that meet the
+residual contract; the roots are checked against the companion-matrix
+eigenvalues (numpy.roots, polished in extended precision) up to 8 qubits and
+against mpmath.polyroots up to 5.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from stellar import (
+    EulerAngles,
+    alt_constellation,
+    alt_polynomial,
+    find_roots,
+    majorana_constellation,
+    majorana_polynomial,
+    matching_max_distance,
+    rotate_constellation,
+    rotate_spin,
+    so3_matrix,
+    spin_from_qubits,
+)
+
+import helpers
+
+
+def polynomial(encoding, state):
+    if encoding == "majorana":
+        return majorana_polynomial(spin_from_qubits(state))
+    return alt_polynomial(state)
+
+
+def constellation(encoding, state):
+    if encoding == "majorana":
+        return majorana_constellation(spin_from_qubits(state))
+    return alt_constellation(state)
+
+
+def thetas(c):
+    return np.array([p.theta for p in c.points])
+
+
+@pytest.mark.parametrize("encoding", ["majorana", "alt"])
+@pytest.mark.parametrize("n", range(5, 11))
+def test_forward_call_meets_the_contract(encoding, n):
+    state = helpers.random_state(np.random.default_rng(700 + n), n)
+    poly = polynomial(encoding, state)
+    result = find_roots(poly)
+    assert result.residual <= 1e-12
+    assert np.all(np.isfinite(result.roots))
+    assert len(result.roots) + result.leading_deficiency == 2**n - 1
+    # recomputed in extended precision; the float64 evaluation of the promise
+    # itself may round by about 1e-13 at degree 1023
+    assert helpers.extended_residual(poly.coefficients, result.roots) <= 1e-11
+    points = constellation(encoding, state)
+    assert points.expected_size == 2**n - 1
+    assert np.all(np.isfinite(thetas(points)))
+    # Gaussian amplitudes imply no root at infinity
+    assert not np.any(thetas(points) == np.pi)
+
+
+@pytest.mark.parametrize("encoding", ["majorana", "alt"])
+@pytest.mark.parametrize("n, seed", [(6, 0), (7, 1), (7, 2), (8, 3), (8, 4)])
+def test_points_match_numpy_roots(encoding, n, seed):
+    state = helpers.random_state(np.random.default_rng(seed), n)
+    reference = helpers.reference_roots(polynomial(encoding, state).coefficients)
+    points = constellation(encoding, state)
+    assert not np.any(thetas(points) == np.pi)
+    assert helpers.max_chordal_mismatch(points, reference) <= 1e-9
+
+
+@pytest.mark.parametrize("encoding", ["majorana", "alt"])
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 2), (4, 3), (5, 4)])
+def test_points_match_mpmath_polyroots(encoding, n, seed):
+    state = helpers.random_state(np.random.default_rng(seed), n)
+    coeffs = polynomial(encoding, state).coefficients
+    exact = mpmath.polyroots(
+        [mpmath.mpc(complex(c)) for c in coeffs[::-1]], maxsteps=200, extraprec=60
+    )
+    reference = np.array([complex(r) for r in exact])
+    assert helpers.max_chordal_mismatch(constellation(encoding, state), reference) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_spin_rotation_moves_many_qubit_points_rigidly(n):
+    rng = np.random.default_rng(800 + n)
+    spin = spin_from_qubits(helpers.random_state(rng, n))
+    angles = EulerAngles(*rng.uniform(-np.pi, np.pi, 3))
+    by_state = majorana_constellation(rotate_spin(spin, angles))
+    by_points = rotate_constellation(majorana_constellation(spin), so3_matrix(angles))
+    assert matching_max_distance(by_state, by_points) <= 1e-10

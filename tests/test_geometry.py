@@ -174,3 +174,9 @@ def test_point_from_cartesian_matches_pointwise_oracle():
     vectors[2::7, 1] = -0.0
     for v in vectors:
         assert point_from_cartesian(v) == helpers.pointwise_point_from_cartesian(v)
+
+
+def test_phi_just_below_zero_wraps_to_zero():
+    # np.mod(-1e-16, 2pi) rounds to exactly 2pi, outside [0, 2pi)
+    assert bloch_point(1.0, -1e-16).phi == 0.0
+    assert points_from_roots([1 - 1e-17j], 0, 1).points[0].phi == 0.0

@@ -204,6 +204,12 @@ def test_sqrt_binomials_square_to_exact_binomials(n):
         assert math.isclose(s * s, math.comb(n, k), rel_tol=4 * np.finfo(float).eps)
 
 
+def test_sqrt_binomials_stop_at_the_float64_limit():
+    assert np.all(np.isfinite(sqrt_binomials(1029)))
+    with pytest.raises(ValueError, match="2S <= 1029"):
+        sqrt_binomials(1030)
+
+
 @pytest.mark.parametrize("count", [1, 7, 31, 1023])
 def test_spinor_map_matches_pointwise_oracle(count):
     c = helpers.coincident_points(np.random.default_rng(606), 1023)
