@@ -8,8 +8,8 @@ no power of |x| is formed, and the residual |p(x)| / max(1,|x|)^d is read
 off directly. A root stops iterating once its value is below the rounding
 bound of its evaluation, but still counts in the others' Aberth sums.
 Roots whose float64 residual misses the contract get one Newton step and
-a new residual, both from compensated Horner (Graillat & Menissier-Morain,
-Inf. Comput. 216, 2012), still in float64 arithmetic. Near-zero leading
+a new residual, both from Horner's rule in stdlib decimal at 40 significant
+digits, the same on every platform whatever its long double. Near-zero leading
 coefficients are deflated and reported as a degree deficiency; near-zero
 trailing coefficients are deflated exactly and reappear as roots at the
 origin. No randomness is used anywhere, so identical inputs give identical
@@ -19,6 +19,7 @@ outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -77,7 +78,9 @@ class RootResult:
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the iteration cannot meet the residual contract."""
+    """Raised when the iteration cannot meet the residual contract. residual
+    is the largest residual as the search stops: decimal for the roots
+    re-evaluated up to the first that still misses, float64 for the rest."""
 
     def __init__(self, message: str, best_roots: np.ndarray, residual: float):
         super().__init__(f"{message} (best residual {residual:.3e})")
@@ -92,8 +95,6 @@ def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
 
 
 _EPS = np.finfo(float).eps
-# Veltkamp's constant 2^27 + 1: splits a float64 into two 26-bit halves
-_SPLITTER = 134217729.0
 
 
 def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
@@ -192,91 +193,55 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     return x
 
 
-def _split(a):
-    """a = hi + lo with each half of 26 significant bits (Veltkamp)."""
-    hi = _SPLITTER * a
-    hi = hi - (hi - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    """a + b = s + e exactly (componentwise, so complex arrays work too)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-# a complex product as four real ones, columns (ar, ai, ar, ai) times
-# (br, bi, bi, br): the real part is column 0 - 1, the imaginary 2 + 3
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _complex_product(a: np.ndarray, b_parts):
-    """a * b = p + e for a complex array a and b given as _parts(b): p is the
-    rounded product and e its error, exact to first order in eps (the
-    TwoProductCplx of Graillat & Menissier-Morain)."""
-    b4, b_hi, b_lo = b_parts
-    a2 = a.view(np.float64).reshape(-1, 2)
-    a4 = np.concatenate([a2, a2], axis=1)
-    p4 = a4 * b4
-    a_hi, a_lo = _split(a4)
-    e4 = a_lo * b_lo - (((p4 - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-    p, f = _two_sum(p4[:, ::2], p4[:, 1::2] * _SIGNS)
-    e = e4[:, ::2] + e4[:, 1::2] * _SIGNS + f
-    return p.view(np.complex128).ravel(), e.view(np.complex128).ravel()
-
-
-def _parts(b: np.ndarray):
-    """The fixed factor of _complex_product, spread and split once."""
-    b2 = b.view(np.float64).reshape(-1, 2)
-    b4 = np.concatenate([b2, b2[:, ::-1]], axis=1)
-    return (b4, *_split(b4))
-
-
-def _compensated_horner(orders: np.ndarray, big: np.ndarray, z: np.ndarray):
-    """Horner's value with its rounding errors summed back in: as accurate as
-    twice the working precision, in float64 arithmetic only."""
-    table = orders[:, big.astype(np.intp)]
-    z_parts = _parts(z)
-    v, err = table[0].copy(), np.zeros_like(z)
-    for row in table[1:]:
-        p, e = _complex_product(v, z_parts)
-        v, f = _two_sum(p, row)
-        err = err * z + (e + f)
-    return v + err
-
-
-def _accurate_values(orders: np.ndarray, x: np.ndarray):
-    """big, z, the derivative and the compensated value at each x.
-
-    The value is taken at the exact 1/x: the rounding of z = fl(1/x) is
-    carried as y_lo = 1/x - z, and q(z + y_lo) = q(z) + q'(z) y_lo.
-    """
-    big, z = _inside(x)
-    _, d, _ = _horner(orders, big, z)
-    p, e = _complex_product(x, _parts(z))
-    y_lo = np.where(big, ((1.0 - p) - e) * z, 0.0)
-    return big, z, d, _compensated_horner(orders, big, z) + d * y_lo
-
-
 def _residuals(coeffs_full: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|p(x)| / (max|c| * max(1,|x|)^d) per root, by the reversed split."""
     value = _horner(_both_orders(coeffs_full), *_inside(roots))[0]
     return np.abs(value) / np.max(np.abs(coeffs_full))
 
 
-def _compensated_step(coeffs_full: np.ndarray, x: np.ndarray):
-    """One Newton step and the new residuals, both with compensated values;
-    a root keeps its old place where the step does not lower its residual."""
-    n = coeffs_full.shape[0] - 1
-    orders = _both_orders(coeffs_full)
+def _decimal_values(pairs: list, x: np.ndarray) -> np.ndarray:
+    """p(x), or q(1/x) = p(x) / x^n where |x| > 1, by Horner's rule in decimal
+    at 40 significant digits from the exact x and the exact coefficients in
+    pairs, (re, im) Decimals low order first; only the result is rounded."""
+    big = np.abs(x) > 1.0
+    out = np.empty_like(x)
+    # no traps: a non-finite point gives NaN, not an exception
+    with localcontext(Context(prec=40, traps=[])):
+        for k, (xk, bk) in enumerate(zip(x.tolist(), big.tolist())):
+            zr, zi = Decimal.from_float(xk.real), Decimal.from_float(xk.imag)
+            order = pairs if bk else pairs[::-1]
+            if bk:
+                m = zr * zr + zi * zi
+                zr, zi = zr / m, -zi / m
+            vr, vi = order[0]
+            for cr, ci in order[1:]:
+                vr, vi = vr * zr - vi * zi + cr, vr * zi + vi * zr + ci
+            out[k] = complex(float(vr), float(vi))
+    return out
+
+
+def _decimal_step(c: np.ndarray, x: np.ndarray, res: np.ndarray, tol: float):
+    """One Newton step and a new residual for each root x with float64
+    residual res, from decimal values; a root keeps its place where the
+    step does not lower its residual. Stops at the first root that still
+    misses tol, since that root fails the call whatever the others give."""
+    n = c.shape[0] - 1
+    scale = np.max(np.abs(c))
+    pairs = [(Decimal.from_float(a.real), Decimal.from_float(a.imag)) for a in c.tolist()]
+    big, z = _inside(x)
     with np.errstate(all="ignore"):
-        big, z, d, v = _accurate_values(orders, x)
-        stepped = x - v / _newton_denominator(n, big, z, v, d)
-        before, after = np.abs(v), np.abs(_accurate_values(orders, stepped)[3])
-    better = after < before
-    scale = np.max(np.abs(coeffs_full))
-    return np.where(better, stepped, x), np.where(better, after, before) / scale
+        d = _horner(_both_orders(c), big, z)[1]
+        for i in range(x.size):
+            k = slice(i, i + 1)
+            v = _decimal_values(pairs, x[k])
+            stepped = x[k] - v / _newton_denominator(n, big[k], z[k], v, d[k])
+            before, after = np.abs(v), np.abs(_decimal_values(pairs, stepped))
+            better = after < before
+            x[k] = np.where(better, stepped, x[k])
+            res[k] = np.where(better, after, before) / scale
+            if not res[i] <= tol:
+                break
+    return x, res
 
 
 def find_roots(
@@ -311,10 +276,10 @@ def _find_roots(
         raw = np.array([], dtype=complex)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
     residuals = _residuals(c, roots)
-    # the compensated step only where float64 misses; never on the zero roots
+    # the decimal step only where float64 misses; never on the zero roots
     miss = np.flatnonzero(~(residuals[: raw.size] <= tol))
     if miss.size:
-        roots[miss], residuals[miss] = _compensated_step(c, roots[miss])
+        roots[miss], residuals[miss] = _decimal_step(c, roots[miss], residuals[miss], tol)
     residual = float(np.max(residuals, initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:

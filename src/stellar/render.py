@@ -34,8 +34,8 @@ class RenderSpec:
             raise ValueError(f"unknown projection {self.projection!r}")
         if self.size_px < _MIN_SIZE:
             raise ValueError(f"size_px must be at least {_MIN_SIZE}")
-        if not self.point_radius_px > 0:
-            raise ValueError("point_radius_px must be positive")
+        if not 0 < self.point_radius_px < np.inf:
+            raise ValueError("point_radius_px must be positive and finite")
 
 
 def _fmt(v: float) -> str:

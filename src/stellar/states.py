@@ -38,11 +38,12 @@ __all__ = [
 DEFAULT_RAY_TOL = 1e-10
 
 
-def _set_amplitudes(state, size: int, owner: str) -> None:
-    """Store state.amplitudes as a complex vector: right length, finite, not all zero."""
+def _set_amplitudes(state, fits, expected: str) -> None:
+    """Store state.amplitudes as a complex vector: a length that fits, finite,
+    not all zero; expected describes the length in the error."""
     amps = np.asarray(state.amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.shape[0] != size:
-        raise ValueError(f"expected {size} amplitudes for {owner}, got shape {amps.shape}")
+    if amps.ndim != 1 or not fits(amps.shape[0]):
+        raise ValueError(f"expected {expected}, got shape {amps.shape}")
     if not np.all(np.isfinite(amps)):
         raise ValueError("state vector has a non-finite amplitude")
     if not np.any(np.abs(amps) > 0):
@@ -58,9 +59,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        n = self.n_qubits
+        if n < 1:
             raise ValueError("need at least one qubit")
-        _set_amplitudes(self, 2**self.n_qubits, f"{self.n_qubits} qubits")
+        # 2^n is formed only for an n below the bit length of the count m
+        fits = lambda m: n < m.bit_length() and m == 2**n
+        _set_amplitudes(self, fits, f"2^{n} amplitudes for {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,8 @@ class SpinState:
     def __post_init__(self):
         if self.two_S < 1:
             raise ValueError("two_S must be a positive integer")
-        _set_amplitudes(self, self.two_S + 1, f"two_S={self.two_S}")
+        size = self.two_S + 1
+        _set_amplitudes(self, lambda m: m == size, f"{size} amplitudes for two_S={self.two_S}")
 
 
 @dataclass(frozen=True)

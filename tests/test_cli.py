@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,18 +194,73 @@ def test_non_finite_amplitude_exits_two(tmp_path, capsys, encoding):
     assert err.count("error:") == 1 and err.startswith("error:")
 
 
-def run_fresh(argv, n_qubits, seed):
-    """A seeded state piped into a fresh `python -m stellar.cli` process, so an
-    uncaught exception would show as a traceback on stderr."""
-    amps = np.random.default_rng(seed).standard_normal((2**n_qubits, 2))
-    doc = json.dumps({"n_qubits": n_qubits, "amplitudes": amps.tolist()})
+def pipe_fresh(argv, text):
+    """text piped into a fresh `python -m stellar.cli` process, so an uncaught
+    exception would show as a traceback on stderr."""
     src = str(Path(stellar.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "stellar.cli", *argv],
-        input=doc, capture_output=True, text=True, timeout=120,
+        input=text, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_fresh(argv, n_qubits, seed):
+    """A seeded state piped into a fresh CLI process."""
+    amps = np.random.default_rng(seed).standard_normal((2**n_qubits, 2))
+    return pipe_fresh(argv, json.dumps({"n_qubits": n_qubits, "amplitudes": amps.tolist()}))
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
+ONE_POINT = '"points": [{"theta": 1.0, "phi": 0.5}]'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["points", "-"], '{"n_qubits": 100000000000, "amplitudes": [[1, 0], [0, 1]]}'),
+        (["points", "-"], '{"n_qubits": 10000000, "amplitudes": [[1, 0], [0, 1]]}'),
+        (["check-sep", "-"], '{"n_qubits": 1.7, "amplitudes": [[1, 0], [0, 1]]}'),
+        (["points", "-"], '{"n_qubits": true, "amplitudes": [[1, 0], [0, 1]]}'),
+        (["render", "-"], '{"expected_size": 1.7, ' + ONE_POINT + "}"),
+        (["render", "-"], '{"expected_size": true, ' + ONE_POINT + "}"),
+    ],
+    ids=["n=1e11", "n=1e7", "n=1.7", "n=true", "size=1.7", "size=true"],
+)
+def test_counts_must_be_json_integers(argv, text):
+    # 2^n is never formed for a count the amplitudes cannot match
+    start = time.perf_counter()
+    proc = pipe_fresh(argv, text)
+    assert time.perf_counter() - start < 2.0
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "Exceeds the limit" not in proc.stderr
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["points"], '{"n_qubits": 1, "amplitudes": [[1, 0], [' + BIG + ", 0]]}"),
+        (["check-sep"], '{"n_qubits": 1, "amplitudes": [[1, 0], [0, -' + BIG + "]]}"),
+        (["render"], '{"expected_size": 1, "points": [{"theta": 1.0, "phi": ' + BIG + "}]}"),
+        (["render", "--point-radius", "inf"], '{"expected_size": 1, ' + ONE_POINT + "}"),
+        (["render", "--point-radius", "1e400"], '{"expected_size": 1, ' + ONE_POINT + "}"),
+    ],
+    ids=["amplitude", "amplitude-imag", "angle", "radius-inf", "radius-1e400"],
+)
+def test_numbers_beyond_float64_exit_two(tmp_path, capsys, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert_one_error_line(*run(capsys, [argv[0], str(path), *argv[1:]]))
 
 
 def test_ten_qubit_majorana_points_exit_zero_without_traceback():

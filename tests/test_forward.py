@@ -6,6 +6,8 @@ eigenvalues (numpy.roots, polished in extended precision) up to 8 qubits and
 against mpmath.polyroots up to 5.
 """
 
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from stellar import (
     EulerAngles,
     alt_constellation,
     alt_polynomial,
+    constellation_to_json,
     find_roots,
     majorana_constellation,
     majorana_polynomial,
@@ -39,6 +42,16 @@ def constellation(encoding, state):
     return alt_constellation(state)
 
 
+# sha256 of constellation_to_json for the seeded N = 9 and 10 calls below; at
+# N = 10 both find_roots calls and the alt constellation take the decimal step
+FORWARD_DIGESTS = {
+    ("majorana", 9): "51fec3d90ccefcbb8bce2a6281592e3e9c29b9343b51a6e1abeed26739b7e36b",
+    ("alt", 9): "846af18668a2c8602cf418337ed295c1c2e4172f2ad9926a36b9589bc029313e",
+    ("majorana", 10): "0f7af903d229e145a46c656fb5acada63eaf84eb600c85bd46df324d7dd406a4",
+    ("alt", 10): "56986fd92af2f85a99764ad357ce894d3915d7021dc3b5a45dc1747f16ad49b4",
+}
+
+
 def thetas(c):
     return np.array([p.theta for p in c.points])
 
@@ -60,6 +73,9 @@ def test_forward_call_meets_the_contract(encoding, n):
     assert np.all(np.isfinite(thetas(points)))
     # Gaussian amplitudes imply no root at infinity
     assert not np.any(thetas(points) == np.pi)
+    if (encoding, n) in FORWARD_DIGESTS:
+        digest = hashlib.sha256(constellation_to_json(points).encode()).hexdigest()
+        assert digest == FORWARD_DIGESTS[encoding, n]
 
 
 @pytest.mark.parametrize("encoding", ["majorana", "alt"])

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -184,7 +185,7 @@ def test_starts_lie_on_the_newton_polygon_circles():
     np.testing.assert_allclose(np.sort(np.abs(starts)), [1e-3, 1e3, 1e3], rtol=1e-12)
 
 
-def test_compensated_value_beats_float64_horner():
+def test_decimal_value_beats_float64_horner():
     # (x - 0.75)^20 expanded, evaluated near its root, where Horner cancels
     # badly; for |x| > 1 the value is that of the reversed polynomial, p / x^20
     coeffs = np.array([1.0 + 0j])
@@ -199,14 +200,30 @@ def test_compensated_value_beats_float64_horner():
     exact = np.array(exact)
     scale = np.maximum(1.0, np.abs(x))
     bound = np.abs(np.polyval(np.abs(coeffs[::-1]), np.abs(x))) / scale**20
+    pairs = [(Decimal.from_float(c.real), Decimal.from_float(c.imag)) for c in coeffs.tolist()]
+    accurate = stellar.polyroots._decimal_values(pairs, x)
     orders = stellar.polyroots._both_orders(coeffs)
-    accurate = stellar.polyroots._accurate_values(orders, x)[3]
     plain = stellar.polyroots._horner(orders, *stellar.polyroots._inside(x))[0]
-    # twice the working precision: eps |p| + (2 n eps)^2 sum |c_k| |x|^k
+    # at least twice the working precision: eps |p| + (2 n eps)^2 sum |c_k| |x|^k
     eps = np.finfo(float).eps
     err = np.abs(accurate - exact)
     assert np.all(err <= 2 * (eps * np.abs(exact) + (40 * eps) ** 2 * bound))
     assert np.all(np.abs(plain - exact)[:2] > 1e6 * err[:2])
+
+
+def test_unreachable_tolerance_stops_at_the_first_missed_root(monkeypatch):
+    # every root misses 1e-30; the first one's value and stepped value fail
+    # the call, so no other root is re-evaluated in decimal
+    calls = []
+    values = stellar.polyroots._decimal_values
+    monkeypatch.setattr(
+        stellar.polyroots, "_decimal_values", lambda *a: calls.append(1) or values(*a)
+    )
+    state = helpers.random_state(np.random.default_rng(68), 4)
+    with pytest.raises(RootFindingError, match="best residual") as info:
+        find_roots(ComplexPolynomial(state.amplitudes), tol=1e-30)
+    assert len(calls) == 2
+    assert 0.0 < info.value.residual < 1e-12
 
 
 def test_iteration_limit_still_raises_on_a_large_polynomial():

@@ -113,6 +113,8 @@ def test_point_radius_is_respected():
         {"size_px": 63},
         {"point_radius_px": 0.0},
         {"point_radius_px": -2.0},
+        {"point_radius_px": np.inf},
+        {"point_radius_px": np.nan},
     ],
 )
 def test_render_spec_validation(kwargs):

@@ -31,6 +31,17 @@ def test_state_round_trip_awkward_values():
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
+def test_signed_zeros_and_subnormals_parse_bit_exactly():
+    tiny = [0.0, -0.0, 5e-324, -2.5e-310]
+    state = helpers.make_pure_state(2, [complex(1.0, t) for t in tiny])
+    back = state_from_json(state_to_json(state))
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+    c = helpers.make_constellation([(5e-324, -0.0), (2.5e-310, 0.0), (np.pi, -0.0)])
+    back = constellation_from_json(constellation_to_json(c))
+    angles = lambda c: np.array([(p.theta, p.phi) for p in c.points]).tobytes()
+    assert angles(back) == angles(c)
+
+
 def test_state_json_shape():
     doc = json.loads(state_to_json(helpers.entangled_pair()))
     assert set(doc) == {"n_qubits", "amplitudes"}
@@ -57,6 +68,19 @@ def test_state_json_deterministic():
         '{"n_qubits": 1, "amplitudes": [[1, 0], 5]}',
         '{"n_qubits": 1, "amplitudes": [[0, 0], [0, 0]]}',
         '{"n_qubits": "two", "amplitudes": [[1, 0], [0, 0]]}',
+        # counts are JSON integers, checked without forming 2^n
+        '{"n_qubits": 1.7, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n_qubits": 100000000000, "amplitudes": [[1, 0], [0, 0]]}',
+        # an integer literal beyond float64
+        pytest.param(
+            '{"n_qubits": 1, "amplitudes": [[1, 0], [1' + "0" * 400 + ", 0]]}",
+            id="401-digit real part",
+        ),
+        pytest.param(
+            '{"n_qubits": 1, "amplitudes": [[1, 0], [0, -1' + "0" * 400 + "]]}",
+            id="401-digit imaginary part",
+        ),
     ],
 )
 def test_state_from_json_rejects_malformed(text):
@@ -103,11 +127,23 @@ def test_constellation_to_json_refuses_non_finite(bad):
         '{"theta": 1.0, "phi": 0.0}]}',
         '{"expected_size": 1, "points": [{"theta": 1.0, "phi": Infinity}]}',
         '{"expected_size": 1, "points": [{"theta": -Infinity, "phi": 0.0}]}',
+        '{"expected_size": 1.0, "points": [{"theta": 1.0, "phi": 0.0}]}',
+        '{"expected_size": true, "points": [{"theta": 1.0, "phi": 0.0}]}',
+        '{"expected_size": "1", "points": [{"theta": 1.0, "phi": 0.0}]}',
+        pytest.param(
+            '{"expected_size": 1, "points": [{"theta": 1' + "0" * 400 + ', "phi": 0.0}]}',
+            id="401-digit theta",
+        ),
     ],
 )
 def test_constellation_from_json_rejects_malformed(text):
     with pytest.raises(InputFormatError):
         constellation_from_json(text)
+
+
+def test_empty_constellation_loads():
+    c = constellation_from_json('{"expected_size": 0, "points": []}')
+    assert c.expected_size == 0 and c.points == ()
 
 
 def test_verdict_json_for_separable_state():
