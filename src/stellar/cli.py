@@ -77,30 +77,20 @@ def cmd_points(args) -> int:
 
 def cmd_rotate(args) -> int:
     state = state_from_json(_read_text(args.state))
-    if args.mode == "spin":
-        if args.angles is None:
-            raise InputFormatError("--mode spin requires --angles a,b,g")
-        if args.angles_per_qubit is not None:
-            raise InputFormatError("--angles-per-qubit only applies to --mode qubits")
+    if args.mode == "spin" and args.angles_per_qubit is not None:
+        raise InputFormatError("--angles-per-qubit only applies to --mode qubits")
+    if (args.angles is None) == (args.angles_per_qubit is None):
+        raise InputFormatError(
+            "give --angles, or --angles-per-qubit in qubits mode, but not both"
+        )
+    if args.angles_per_qubit is not None:
+        parts = args.angles_per_qubit.split(";")
+        rotated = rotate_qubits(state, [_parse_triple(p, args.degrees) for p in parts])
+    elif args.mode == "spin":
         triple = _parse_triple(args.angles, args.degrees)
         rotated = qubits_from_spin(rotate_spin(spin_from_qubits(state), triple))
     else:
-        if (args.angles is None) == (args.angles_per_qubit is None):
-            raise InputFormatError(
-                "--mode qubits requires exactly one of --angles or --angles-per-qubit"
-            )
-        if args.angles is not None:
-            rotated = rotate_qubits_uniform(state, _parse_triple(args.angles, args.degrees))
-        else:
-            triples = [
-                _parse_triple(part, args.degrees)
-                for part in args.angles_per_qubit.split(";")
-            ]
-            if len(triples) != state.n_qubits:
-                raise InputFormatError(
-                    f"got {len(triples)} angle triples for {state.n_qubits} qubits"
-                )
-            rotated = rotate_qubits(state, triples)
+        rotated = rotate_qubits_uniform(state, _parse_triple(args.angles, args.degrees))
     sys.stdout.write(state_to_json(rotated))
     return 0
 

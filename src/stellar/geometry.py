@@ -133,4 +133,4 @@ def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:
 def matching_max_distance(a: Constellation, b: Constellation) -> float:
     """Largest per-pair geodesic distance under the optimal matching."""
     perm, dist = _match(a, b)
-    return float(dist[np.arange(a.expected_size), perm].max())
+    return float(dist[np.arange(a.expected_size), perm].max(initial=0.0))

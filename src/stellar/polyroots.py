@@ -7,13 +7,14 @@ At a point with |x| > 1 the reversed polynomial is evaluated at y = 1/x, so
 no power of |x| is formed, and the residual |p(x)| / max(1,|x|)^d is read
 off directly. A root stops iterating once its value is below the rounding
 bound of its evaluation, but still counts in the others' Aberth sums.
-Roots whose float64 residual misses the contract get one Newton step and
-a new residual, both from Horner's rule in stdlib decimal at 40 significant
-digits, the same on every platform whatever its long double. Near-zero leading
-coefficients are deflated and reported as a degree deficiency; near-zero
-trailing coefficients are deflated exactly and reappear as roots at the
-origin. No randomness is used anywhere, so identical inputs give identical
-outputs.
+One float64 Horner pass then gives every root its residual and derivative.
+A root whose residual misses the contract gets one Newton step, from its
+value in stdlib decimal at 40 significant digits and that derivative, and a
+new residual in decimal: the same on every platform whatever its long
+double. Near-zero leading coefficients are deflated and reported as a
+degree deficiency; near-zero trailing coefficients are deflated exactly and
+reappear as roots at the origin. No randomness is used anywhere, so
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     its evaluation; it still counts in the Aberth sums of the others.
     """
     n = coeffs.shape[0] - 1
-    if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
+    if n <= 1:  # no root, or the root of c_0 + c_1 x
+        return -coeffs[:n] / coeffs[n:]
     orders = _both_orders(coeffs)
     x = _newton_polygon_starts(coeffs)
     live = np.arange(n)
@@ -193,55 +194,53 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     return x
 
 
-def _residuals(coeffs_full: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|p(x)| / (max|c| * max(1,|x|)^d) per root, by the reversed split."""
-    value = _horner(_both_orders(coeffs_full), *_inside(roots))[0]
-    return np.abs(value) / np.max(np.abs(coeffs_full))
-
-
-def _decimal_values(pairs: list, x: np.ndarray) -> np.ndarray:
+def _decimal_value(pairs: list, x) -> complex:
     """p(x), or q(1/x) = p(x) / x^n where |x| > 1, by Horner's rule in decimal
     at 40 significant digits from the exact x and the exact coefficients in
-    pairs, (re, im) Decimals low order first; only the result is rounded."""
+    pairs, (re, im) Decimals low order first; only the result is rounded.
+    |x| > 1 is judged by np.abs, as in _inside, not by abs()."""
     big = np.abs(x) > 1.0
-    out = np.empty_like(x)
+    zr, zi = Decimal(x.real), Decimal(x.imag)
+    order = pairs if big else pairs[::-1]
     # no traps: a non-finite point gives NaN, not an exception
     with localcontext(Context(prec=40, traps=[])):
-        for k, (xk, bk) in enumerate(zip(x.tolist(), big.tolist())):
-            zr, zi = Decimal.from_float(xk.real), Decimal.from_float(xk.imag)
-            order = pairs if bk else pairs[::-1]
-            if bk:
-                m = zr * zr + zi * zi
-                zr, zi = zr / m, -zi / m
-            vr, vi = order[0]
-            for cr, ci in order[1:]:
-                vr, vi = vr * zr - vi * zi + cr, vr * zi + vi * zr + ci
-            out[k] = complex(float(vr), float(vi))
-    return out
+        if big:
+            m = zr * zr + zi * zi
+            zr, zi = zr / m, -zi / m
+        vr, vi = order[0]
+        for cr, ci in order[1:]:
+            vr, vi = vr * zr - vi * zi + cr, vr * zi + vi * zr + ci
+        return complex(float(vr), float(vi))
 
 
-def _decimal_step(c: np.ndarray, x: np.ndarray, res: np.ndarray, tol: float):
-    """One Newton step and a new residual for each root x with float64
-    residual res, from decimal values; a root keeps its place where the
-    step does not lower its residual. Stops at the first root that still
-    misses tol, since that root fails the call whatever the others give."""
+def _certify(c: np.ndarray, roots: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """|p(x)| / (max|c| * max(1,|x|)^d) per root, by the reversed split, with
+    value and derivative from one float64 Horner pass. Each of the first m
+    roots whose residual misses tol gets one Newton step from its decimal
+    value and that derivative, and a new residual from decimal values; it
+    keeps its place in roots where the step does not lower its residual.
+    Stops at the first root that still misses tol, since that root fails
+    the call whatever the others give."""
     n = c.shape[0] - 1
     scale = np.max(np.abs(c))
-    pairs = [(Decimal.from_float(a.real), Decimal.from_float(a.imag)) for a in c.tolist()]
-    big, z = _inside(x)
+    big, z = _inside(roots)
     with np.errstate(all="ignore"):
-        d = _horner(_both_orders(c), big, z)[1]
-        for i in range(x.size):
+        value, d, _ = _horner(_both_orders(c), big, z)
+        res = np.abs(value) / scale
+        miss = np.flatnonzero(~(res[:m] <= tol)).tolist()
+        pairs = [(Decimal(a.real), Decimal(a.imag)) for a in c.tolist()] if miss else []
+        for i in miss:
             k = slice(i, i + 1)
-            v = _decimal_values(pairs, x[k])
-            stepped = x[k] - v / _newton_denominator(n, big[k], z[k], v, d[k])
-            before, after = np.abs(v), np.abs(_decimal_values(pairs, stepped))
-            better = after < before
-            x[k] = np.where(better, stepped, x[k])
-            res[k] = np.where(better, after, before) / scale
+            # a 1-element array, so that the step rounds as numpy's array loops do
+            v = np.array([_decimal_value(pairs, roots[i])])
+            stepped = (roots[k] - v / _newton_denominator(n, big[k], z[k], v, d[k]))[0]
+            before, after = np.abs(v[0]), np.abs(_decimal_value(pairs, stepped))
+            if after < before:
+                roots[i], before = stepped, after
+            res[i] = before / scale
             if not res[i] <= tol:
                 break
-    return x, res
+    return res
 
 
 def find_roots(
@@ -270,17 +269,10 @@ def _find_roots(
     c = p.coefficients
     live = np.flatnonzero(magnitudes > COEFF_DEFLATION_RTOL * np.max(magnitudes))
     lo, hi = int(live[0]), int(live[-1])
-    if hi > lo:
-        raw = _aberth(c[lo : hi + 1], max_iterations)
-    else:
-        raw = np.array([], dtype=complex)
+    raw = _aberth(c[lo : hi + 1], max_iterations)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
-    residuals = _residuals(c, roots)
-    # the decimal step only where float64 misses; never on the zero roots
-    miss = np.flatnonzero(~(residuals[: raw.size] <= tol))
-    if miss.size:
-        roots[miss], residuals[miss] = _decimal_step(c, roots[miss], residuals[miss], tol)
-    residual = float(np.max(residuals, initial=0.0))
+    # the decimal step never reaches the zero roots
+    residual = float(np.max(_certify(c, roots, raw.size, tol), initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:
         raise RootFindingError(

@@ -8,6 +8,7 @@ NaN or infinite value raises ValueError instead of being written.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -59,11 +60,15 @@ def _count(doc: dict, key: str) -> int:
 
 
 def _float(value) -> float:
-    """value as a float64; an integer literal beyond its range is malformed."""
+    """value as a float64. It must be a JSON number, not a string or a bool,
+    and finite: NaN, infinities and integers beyond float64 are malformed."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f"malformed number: {exc}") from exc
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputFormatError(f"expected a finite JSON number, got {value!r:.40}")
+    return number
 
 
 def state_from_json(text: str) -> PureState:
@@ -106,8 +111,6 @@ def constellation_from_json(text: str) -> Constellation:
         pts = tuple(BlochPoint(_float(p["theta"]), _float(p["phi"])) for p in doc["points"])
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing or malformed constellation field: {exc}") from exc
-    if not np.isfinite([(p.theta, p.phi) for p in pts]).all():
-        raise InputFormatError("point angles must be finite")
     try:
         return Constellation(pts, size)
     except ValueError as exc:

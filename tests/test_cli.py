@@ -151,13 +151,14 @@ def test_rotate_per_qubit_angles(tmp_path, capsys, product_pair):
         ["--mode", "spin", "--angles", "0,0,0", "--angles-per-qubit", "0,0,0;0,0,0"],
         ["--mode", "spin", "--angles", "inf,0,0"],  # not finite
         ["--mode", "qubits", "--angles", "nan,0,0"],  # not finite
+        ["--mode", "qubits", "--angles", "0,0,0", "--angles-per-qubit", "0,0,0;0,0,0"],
     ],
 )
 def test_rotate_flag_validation(tmp_path, capsys, product_pair, extra):
     path = write_state(tmp_path, product_pair)
     code, _, err = run(capsys, ["rotate", path] + extra)
     assert code == 2
-    assert "error:" in err
+    assert err.count("error:") == 1 and err.startswith("error:")
     # a bad flag is reported as such, not as a defect of the rotated state
     assert "identically zero" not in err
 
@@ -261,6 +262,22 @@ def test_numbers_beyond_float64_exit_two(tmp_path, capsys, argv, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
     assert_one_error_line(*run(capsys, [argv[0], str(path), *argv[1:]]))
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ["points", "-", "--encoding", "alt"],
+            '{"n_qubits": 1, "amplitudes": [["1.5", true], [0, "-2e0"]]}',
+        ),
+        (["render", "-"], '{"expected_size": 1, "points": [{"theta": "1.0", "phi": false}]}'),
+    ],
+    ids=["state", "constellation"],
+)
+def test_strings_and_booleans_are_not_numbers(argv, text):
+    proc = pipe_fresh(argv, text)
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_ten_qubit_majorana_points_exit_zero_without_traceback():

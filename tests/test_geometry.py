@@ -107,6 +107,11 @@ def test_matching_reports_true_displacement():
     assert matching_max_distance(a, b) == pytest.approx(0.05)
 
 
+def test_matching_of_two_empty_constellations_is_zero():
+    empty = Constellation((), 0)
+    assert matching_max_distance(empty, empty) == 0.0
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_brute_force_and_assignment_solver_agree(n):
     # jittered, shuffled targets, so the optimum need not be the shuffle itself

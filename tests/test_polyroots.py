@@ -201,7 +201,7 @@ def test_decimal_value_beats_float64_horner():
     scale = np.maximum(1.0, np.abs(x))
     bound = np.abs(np.polyval(np.abs(coeffs[::-1]), np.abs(x))) / scale**20
     pairs = [(Decimal.from_float(c.real), Decimal.from_float(c.imag)) for c in coeffs.tolist()]
-    accurate = stellar.polyroots._decimal_values(pairs, x)
+    accurate = np.array([stellar.polyroots._decimal_value(pairs, v) for v in x])
     orders = stellar.polyroots._both_orders(coeffs)
     plain = stellar.polyroots._horner(orders, *stellar.polyroots._inside(x))[0]
     # at least twice the working precision: eps |p| + (2 n eps)^2 sum |c_k| |x|^k
@@ -215,15 +215,28 @@ def test_unreachable_tolerance_stops_at_the_first_missed_root(monkeypatch):
     # every root misses 1e-30; the first one's value and stepped value fail
     # the call, so no other root is re-evaluated in decimal
     calls = []
-    values = stellar.polyroots._decimal_values
+    value = stellar.polyroots._decimal_value
     monkeypatch.setattr(
-        stellar.polyroots, "_decimal_values", lambda *a: calls.append(1) or values(*a)
+        stellar.polyroots, "_decimal_value", lambda *a: calls.append(1) or value(*a)
     )
     state = helpers.random_state(np.random.default_rng(68), 4)
     with pytest.raises(RootFindingError, match="best residual") as info:
         find_roots(ComplexPolynomial(state.amplitudes), tol=1e-30)
     assert len(calls) == 2
     assert 0.0 < info.value.residual < 1e-12
+
+
+def test_certification_is_one_float64_pass(monkeypatch):
+    # after the iteration, one Horner pass gives every root its value and the
+    # derivative of its decimal step
+    calls = []
+    horner, aberth = stellar.polyroots._horner, stellar.polyroots._aberth
+    monkeypatch.setattr(stellar.polyroots, "_horner", lambda *a: calls.append(1) or horner(*a))
+    monkeypatch.setattr(stellar.polyroots, "_aberth", lambda *a: (aberth(*a), calls.clear())[0])
+    state = helpers.random_state(np.random.default_rng(68), 4)
+    with pytest.raises(RootFindingError):
+        find_roots(ComplexPolynomial(state.amplitudes), tol=1e-30)
+    assert len(calls) == 1
 
 
 def test_iteration_limit_still_raises_on_a_large_polynomial():

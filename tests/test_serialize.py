@@ -81,6 +81,10 @@ def test_state_json_deterministic():
             '{"n_qubits": 1, "amplitudes": [[1, 0], [0, -1' + "0" * 400 + "]]}",
             id="401-digit imaginary part",
         ),
+        # numbers are JSON numbers: not strings, not booleans
+        '{"n_qubits": 1, "amplitudes": [["1.5", true], [0, "-2e0"]]}',
+        '{"n_qubits": 1, "amplitudes": [[1, 0], ["0.5", 0]]}',
+        '{"n_qubits": 1, "amplitudes": [[1, 0], [0, false]]}',
     ],
 )
 def test_state_from_json_rejects_malformed(text):
@@ -134,6 +138,9 @@ def test_constellation_to_json_refuses_non_finite(bad):
             '{"expected_size": 1, "points": [{"theta": 1' + "0" * 400 + ', "phi": 0.0}]}',
             id="401-digit theta",
         ),
+        '{"expected_size": 1, "points": [{"theta": "1.0", "phi": false}]}',
+        '{"expected_size": 1, "points": [{"theta": "1.0", "phi": 0.0}]}',
+        '{"expected_size": 1, "points": [{"theta": 1.0, "phi": true}]}',
     ],
 )
 def test_constellation_from_json_rejects_malformed(text):
