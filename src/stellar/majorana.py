@@ -9,7 +9,8 @@ points. A drop of l in the actual degree contributes l south-pole points.
 The inverse direction builds a state from 2S spinors (alpha |+> + beta |->):
 the coefficient of x^m in prod_k (alpha_k x + beta_k), divided by the square
 root of the binomial weight, is the amplitude at M = m - S, up to one free
-overall scale.
+overall scale. The product is expanded in place, one factor at a time, in
+one array of 2S + 1 coefficients.
 """
 
 from __future__ import annotations
@@ -68,35 +69,41 @@ def qubit_majorana_polynomial(state: PureState) -> ComplexPolynomial:
     return majorana_polynomial(spin_from_qubits(state))
 
 
-def state_from_spinors(spinors: list[Spinor], scale: complex = 1.0) -> SpinState:
-    """Symmetrized state of 2S spinors, via the product polynomial.
-
-    Expands prod_k (alpha_k x + beta_k) by iterated convolution, then strips
-    the binomial weights. Any spinor with alpha = 0 (a south-pole direction)
-    simply lowers the product degree; the all-zero spinor is rejected.
-    """
-    if not spinors:
+def _spinor_product(alpha: np.ndarray, beta: np.ndarray, scale: complex = 1.0) -> SpinState:
+    """prod_k (alpha_k x + beta_k), expanded in place, over the binomial weights."""
+    two_s = len(alpha)
+    if two_s == 0:
         raise ValueError("need at least one spinor")
-    coeffs = np.ones(1, dtype=complex)
-    for sp in spinors:
-        a, b = complex(sp.alpha), complex(sp.beta)
-        if a == 0 and b == 0:
-            raise ValueError("spinor (0, 0) does not define a direction")
-        coeffs = np.convolve(coeffs, np.array([b, a]))
-    two_s = len(spinors)
+    if np.any((alpha == 0) & (beta == 0)):
+        raise ValueError("spinor (0, 0) does not define a direction")
+    coeffs = np.zeros(two_s + 1, dtype=complex)
+    coeffs[0] = 1.0
+    for k, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        high = coeffs[: k + 1] * a
+        coeffs[: k + 1] *= b
+        coeffs[1 : k + 2] += high
     return SpinState(two_s, scale * coeffs / sqrt_binomials(two_s))
 
 
-def _spinors(constellation: Constellation) -> list[Spinor]:
+def state_from_spinors(spinors: list[Spinor], scale: complex = 1.0) -> SpinState:
+    """Symmetrized state of 2S spinors: prod_k (alpha_k x + beta_k), expanded in
+    place one factor at a time, over the binomial weights. A spinor with
+    alpha = 0 (a south-pole direction) lowers the product degree; the all-zero
+    spinor is rejected."""
+    alpha, beta = np.array(spinors, dtype=complex).reshape(len(spinors), 2).T
+    return _spinor_product(alpha, beta, scale)
+
+
+def _spinors(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Spinor of each point's direction: (cos t/2, -sin t/2 e^{i phi})."""
     theta, phi = _angles(constellation)
-    half = 0.5 * theta
-    return list(map(Spinor, np.cos(half), -np.sin(half) * np.exp(1j * phi)))
+    return np.cos(0.5 * theta), -np.sin(0.5 * theta) * np.exp(1j * phi)
 
 
 def spinor_for_point(point: BlochPoint) -> Spinor:
     """Spinor whose direction is the given point: (cos t/2, -sin t/2 e^{i phi})."""
-    return _spinors(Constellation((point,), 1))[0]
+    alpha, beta = _spinors(Constellation((point,), 1))
+    return Spinor(alpha[0], beta[0])
 
 
 def majorana_constellation(
@@ -114,4 +121,4 @@ def majorana_constellation(
 
 def state_from_constellation(constellation: Constellation) -> SpinState:
     """Spin state whose Majorana points are the given constellation (scale 1)."""
-    return state_from_spinors(_spinors(constellation))
+    return _spinor_product(*_spinors(constellation))

@@ -2,19 +2,22 @@
 
 The oracles here deliberately avoid the library's own fast paths: the
 permutation sum expands the symmetrized product the factorial-cost way,
-the minimum-cost assignment is found by trying every permutation, the
-spin-1/2 rotation is written out in closed form, Wigner matrices come from
-dense matrix exponentials and from the factorial sum, coherent states are
-built term by term in log space, sphere points are built and read one
-point at a time with scalar arithmetic, and reference roots come from the
-companion matrix's eigenvalues with residuals in extended precision, so
-agreement with the package is evidence rather than tautology.
+the sequential product multiplies it out by one np.convolve per factor and
+the mpmath product at 200 bits, the minimum-cost assignment is found by
+trying every permutation, the spin-1/2 rotation is written out in closed
+form, Wigner matrices come from dense matrix exponentials and from the
+factorial sum, coherent states are built term by term in log space, sphere
+points are built and read one point at a time with scalar arithmetic, and
+reference roots come from the companion matrix's eigenvalues with
+residuals in extended precision, so agreement with the package is evidence
+rather than tautology.
 """
 
 import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
@@ -170,6 +173,27 @@ def permutation_sum_coefficients(spinors) -> np.ndarray:
             total += term
         out[m] = total / (math.factorial(m) * math.factorial(n - m))
     return out
+
+
+def sequential_convolution_coefficients(spinors) -> np.ndarray:
+    """Coefficients of prod_k (alpha_k x + beta_k), low order first, by one
+    np.convolve per factor."""
+    product = np.ones(1, dtype=complex)
+    for a, b in spinors:
+        product = np.convolve(product, [b, a])
+    return product
+
+
+def mpmath_product_coefficients(spinors) -> np.ndarray:
+    """Coefficients of prod_k (alpha_k x + beta_k) in mpmath at 200 bits,
+    rounded to complex once at the end."""
+    with mpmath.workprec(200):
+        coeffs = [mpmath.mpc(1)]
+        for a, b in spinors:
+            a, b = mpmath.mpc(complex(a)), mpmath.mpc(complex(b))
+            low, high = [c * b for c in coeffs], [c * a for c in coeffs]
+            coeffs = [low[0]] + [lo + hi for lo, hi in zip(low[1:], high)] + [high[-1]]
+        return np.array([complex(c) for c in coeffs])
 
 
 def exhaustive_min_assignment(cost) -> float:

@@ -69,10 +69,15 @@ def test_state_from_spinors_all_up_gives_top_level():
 
 
 def test_state_from_spinors_rejects_empty_and_null():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one spinor"):
         state_from_spinors([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one spinor"):
+        state_from_constellation(Constellation((), 0))
+    null = "spinor \\(0, 0\\) does not define a direction"
+    with pytest.raises(ValueError, match=null):
         state_from_spinors([Spinor(1, 0), Spinor(0, 0)])
+    with pytest.raises(ValueError, match=null):
+        state_from_spinors([Spinor(1, 0), Spinor(0, 0), Spinor(0.6, 0.8j)])
 
 
 def test_state_from_spinors_matches_permutation_sum_oracle():
@@ -105,15 +110,11 @@ def test_product_polynomial_identity():
         spinors = [Spinor(*helpers.random_amplitudes(rng, 2)) for _ in range(count)]
         scale = complex(*rng.standard_normal(2))
         state = state_from_spinors(spinors, scale)
-        product = np.ones(1, dtype=complex)
-        for s in spinors:
-            product = np.convolve(product, [s.beta, s.alpha])
-        padded = np.zeros(count + 1, dtype=complex)
-        padded[: product.shape[0]] = product
+        product = helpers.sequential_convolution_coefficients(spinors)
         np.testing.assert_allclose(
             majorana_polynomial(state).coefficients,
-            scale * padded,
-            atol=1e-12 * np.max(np.abs(padded)) * abs(scale),
+            scale * product,
+            atol=1e-12 * np.max(np.abs(product)) * abs(scale),
         )
 
 
@@ -236,3 +237,30 @@ def test_dicke_inverse_at_1023_points(north):
     pts = (BlochPoint(0.0, 0.0),) * north + (BlochPoint(np.pi, 0.0),) * (1023 - north)
     state = state_from_constellation(Constellation(pts, 1023))
     assert rays_equal(state.amplitudes, np.eye(1024)[north])
+
+
+@pytest.mark.parametrize(
+    "kind, two_S",
+    [("scattered", 7), ("scattered", 31), ("scattered", 127), ("scattered", 255),
+     ("coherent", 511), ("dicke", 255)],
+)
+def test_spinor_product_within_rounding_bound_of_mpmath(kind, two_S):
+    # componentwise |error_k| <= 2S eps coef_k(prod_j (|alpha_j| x + |beta_j|)),
+    # so where that coefficient is 0 (Dicke inputs) the error is exactly 0
+    rng = np.random.default_rng(708 + two_S)
+    if kind == "scattered":
+        thetas = np.arccos(rng.uniform(-1.0, 1.0, two_S))
+        pairs = zip(thetas, rng.uniform(0.0, 2 * np.pi, two_S))
+        spinors = [spinor_for_point(p) for p in helpers.make_constellation(pairs).points]
+    elif kind == "coherent":
+        theta, phi = np.arccos(rng.uniform(-0.9, 0.9)), rng.uniform(0.0, 2 * np.pi)
+        spinors = [spinor_for_point(BlochPoint(float(theta), float(phi)))] * two_S
+    else:
+        up = rng.permutation(two_S) < 100
+        spinors = [Spinor(1.0, 0.0) if u else Spinor(0.0, 1.0) for u in up]
+    got = state_from_spinors(spinors).amplitudes * sqrt_binomials(two_S)
+    error = np.abs(got - helpers.mpmath_product_coefficients(spinors))
+    magnitudes = helpers.sequential_convolution_coefficients(
+        [(abs(a), abs(b)) for a, b in spinors]
+    ).real
+    assert np.all(error <= two_S * np.finfo(float).eps * magnitudes)
