@@ -174,7 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("points", help="constellation of a state (JSON to stdout)")
     p.add_argument("state", help="state JSON path, or - for stdin")
     p.add_argument("--encoding", choices=("majorana", "alt"), default="majorana")
-    p.add_argument("--tol", type=float, default=1e-12, help="root-finder tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="bound on the roots' relative backward error in the amplitudes",
+    )
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("rotate", help="rotate a state (state JSON to stdout)")

@@ -4,23 +4,24 @@ Roots are found by Aberth-Ehrlich simultaneous iteration, as in MPSolve
 (Bini & Fiorentino, Numer. Algorithms 23, 2000). The starting points lie on
 the circles of the Newton polygon, the upper convex hull of (k, log|c_k|).
 At a point with |x| > 1 the reversed polynomial is evaluated at y = 1/x, so
-no power of |x| is formed, and the residual |p(x)| / max(1,|x|)^d is read
-off directly. A root stops iterating once its value is below the rounding
-bound of its evaluation, but still counts in the others' Aberth sums.
-One float64 Horner pass then gives every root its residual and derivative.
-A root whose residual misses the contract gets one Newton step, from its
-value in stdlib decimal at 40 significant digits and that derivative, and a
-new residual in decimal: the same on every platform whatever its long
-double. Near-zero leading coefficients are deflated and reported as a
-degree deficiency; near-zero trailing coefficients are deflated exactly and
-reappear as roots at the origin. No randomness is used anywhere, so
-identical inputs give identical outputs.
+no power of |x| is formed. A root stops iterating once its value is below
+the rounding bound of its evaluation, but still counts in the others' Aberth
+sums. One float64 Horner pass then certifies every root by its relative
+backward error |p(x)| / sum_k |c_k| |x|^k (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 5.1) plus 2n eps for that pass's rounding:
+x is an exact root of a polynomial whose every coefficient is within that
+relative distance of c_k. Where c_k = w_k a_k with fixed weights, as in both
+state encodings, the weights cancel and the distance is one in the amplitudes
+a_k, up to the rounding of w_k a_k. Near-zero leading coefficients are
+deflated and reported as a degree deficiency; near-zero trailing
+coefficients are deflated exactly and reappear as roots at the origin;
+either way the deflated coefficients count as set to zero. No randomness is
+used anywhere, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -69,7 +70,9 @@ class RootResult:
     len(roots) + leading_deficiency equals the nominal degree;
     trailing_zero_roots counts how many of the roots are exact zeros that
     were removed by trailing deflation and appended back.
-    residual is max |p(x_k)| / (max|c| * max(1,|x_k|)^degree) over the roots.
+    residual is the largest relative backward error over the roots,
+    |p(x_k)| / sum_j |c_j| |x_k|^j + 2n eps, taken against the coefficients
+    left after deflation (those deflated count as zero), with n their degree.
     """
 
     roots: np.ndarray
@@ -80,8 +83,8 @@ class RootResult:
 
 class RootFindingError(RuntimeError):
     """Raised when the iteration cannot meet the residual contract. residual
-    is the largest residual as the search stops: decimal for the roots
-    re-evaluated up to the first that still misses, float64 for the rest."""
+    is the largest relative backward error of best_roots, as in
+    RootResult.residual, so it is never below 2n eps."""
 
     def __init__(self, message: str, best_roots: np.ndarray, residual: float):
         super().__init__(f"{message} (best residual {residual:.3e})")
@@ -194,53 +197,15 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     return x
 
 
-def _decimal_value(pairs: list, x) -> complex:
-    """p(x), or q(1/x) = p(x) / x^n where |x| > 1, by Horner's rule in decimal
-    at 40 significant digits from the exact x and the exact coefficients in
-    pairs, (re, im) Decimals low order first; only the result is rounded.
-    |x| > 1 is judged by np.abs, as in _inside, not by abs()."""
-    big = np.abs(x) > 1.0
-    zr, zi = Decimal(x.real), Decimal(x.imag)
-    order = pairs if big else pairs[::-1]
-    # no traps: a non-finite point gives NaN, not an exception
-    with localcontext(Context(prec=40, traps=[])):
-        if big:
-            m = zr * zr + zi * zi
-            zr, zi = zr / m, -zi / m
-        vr, vi = order[0]
-        for cr, ci in order[1:]:
-            vr, vi = vr * zr - vi * zi + cr, vr * zi + vi * zr + ci
-        return complex(float(vr), float(vi))
-
-
-def _certify(c: np.ndarray, roots: np.ndarray, m: int, tol: float) -> np.ndarray:
-    """|p(x)| / (max|c| * max(1,|x|)^d) per root, by the reversed split, with
-    value and derivative from one float64 Horner pass. Each of the first m
-    roots whose residual misses tol gets one Newton step from its decimal
-    value and that derivative, and a new residual from decimal values; it
-    keeps its place in roots where the step does not lower its residual.
-    Stops at the first root that still misses tol, since that root fails
-    the call whatever the others give."""
+def _certify(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Each root's relative backward error in the coefficients,
+    |p(x)| / sum_k |c_k| |x|^k, from one float64 Horner pass by the reversed
+    split, where the factor |x|^n of both sums cancels; plus 2n eps, which
+    bounds that pass's rounding, so that the number is an upper bound."""
     n = c.shape[0] - 1
-    scale = np.max(np.abs(c))
-    big, z = _inside(roots)
     with np.errstate(all="ignore"):
-        value, d, _ = _horner(_both_orders(c), big, z)
-        res = np.abs(value) / scale
-        miss = np.flatnonzero(~(res[:m] <= tol)).tolist()
-        pairs = [(Decimal(a.real), Decimal(a.imag)) for a in c.tolist()] if miss else []
-        for i in miss:
-            k = slice(i, i + 1)
-            # a 1-element array, so that the step rounds as numpy's array loops do
-            v = np.array([_decimal_value(pairs, roots[i])])
-            stepped = (roots[k] - v / _newton_denominator(n, big[k], z[k], v, d[k]))[0]
-            before, after = np.abs(v[0]), np.abs(_decimal_value(pairs, stepped))
-            if after < before:
-                roots[i], before = stepped, after
-            res[i] = before / scale
-            if not res[i] <= tol:
-                break
-    return res
+        value, _, s = _horner(_both_orders(c), *_inside(roots))
+        return np.abs(value) / s + 2.0 * n * _EPS
 
 
 def find_roots(
@@ -250,10 +215,14 @@ def find_roots(
 ) -> RootResult:
     """All complex roots of p, with multiplicity, plus deflation counts.
 
-    The returned roots satisfy |p(x_k)| <= tol * max|c| * max(1,|x_k|)^d
-    with d the nominal degree; if the iteration cannot reach that bound a
-    RootFindingError carrying the best iterate is raised. Multiple roots
-    are returned as clusters of nearby simple roots, never merged.
+    Each returned root x is an exact root of a polynomial whose every
+    coefficient is within relative distance tol of c_k, after deflation has
+    set near-zero end coefficients to zero: |p(x)| / sum_k |c_k| |x|^k plus
+    the rounding term 2n eps is at most tol, n being the degree left after
+    deflation, so a tol below 2n eps cannot be met. If the iteration cannot
+    reach tol a RootFindingError carrying the best iterate is raised.
+    Multiple roots are returned as clusters of nearby simple roots, never
+    merged.
     """
     return _find_roots(p, np.abs(p.coefficients), tol, max_iterations)
 
@@ -269,10 +238,11 @@ def _find_roots(
     c = p.coefficients
     live = np.flatnonzero(magnitudes > COEFF_DEFLATION_RTOL * np.max(magnitudes))
     lo, hi = int(live[0]), int(live[-1])
-    raw = _aberth(c[lo : hi + 1], max_iterations)
+    kept = c[lo : hi + 1]
+    raw = _aberth(kept, max_iterations)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
-    # the decimal step never reaches the zero roots
-    residual = float(np.max(_certify(c, roots, raw.size, tol), initial=0.0))
+    # the zero roots are exact roots of the deflated polynomial
+    residual = float(np.max(_certify(kept, raw), initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:
         raise RootFindingError(

@@ -9,8 +9,9 @@ form, Wigner matrices come from dense matrix exponentials and from the
 factorial sum, coherent states are built term by term in log space, sphere
 points are built and read one point at a time with scalar arithmetic, and
 reference roots come from the companion matrix's eigenvalues with
-residuals in extended precision, so agreement with the package is evidence
-rather than tautology.
+residuals and backward errors in extended precision, and a product state's
+roots from its per-qubit factors in mpmath at 200 bits, so agreement with
+the package is evidence rather than tautology.
 """
 
 import itertools
@@ -102,14 +103,55 @@ def extended_horner(coeffs, x):
 
 
 def extended_residual(coeffs, roots) -> float:
-    """The root finder's contract max |p(x)| / (max|c| max(1,|x|)^d), evaluated
-    in extended precision, through the reversed polynomial at 1/x for |x| > 1."""
+    """The root finder's earlier, coarser contract max |p(x)| / (max|c|
+    max(1,|x|)^d), evaluated in extended precision, through the reversed
+    polynomial at 1/x for |x| > 1."""
     c = np.asarray(coeffs, dtype=np.clongdouble)
     c = c / np.max(np.abs(c))
     x = np.asarray(roots).astype(np.clongdouble)
     big = np.abs(x) > 1
     y = np.where(big, 1 / np.where(big, x, 1), x)
     return float(np.max(np.abs(np.where(big, extended_horner(c[::-1], y), extended_horner(c, y)))))
+
+
+def extended_backward_error(coeffs, roots) -> float:
+    """Largest relative backward error |p(x)| / sum_k |c_k| |x|^k over the
+    roots, without a rounding term, evaluated in extended precision through
+    the reversed polynomial at 1/x for |x| > 1."""
+    c = np.asarray(coeffs, dtype=np.clongdouble)
+    x = np.asarray(roots).astype(np.clongdouble)
+    big = np.abs(x) > 1
+    y = np.where(big, 1 / np.where(big, x, 1), x)
+    value = np.where(big, extended_horner(c[::-1], y), extended_horner(c, y))
+    a, ay = np.abs(c), np.abs(y)
+    sums = np.where(big, extended_horner(a[::-1], ay), extended_horner(a, ay))
+    return float(np.max(np.abs(value) / sums))
+
+
+def product_factors(seed: int) -> np.ndarray:
+    """Ten Gaussian single-qubit factors (a_j, b_j), row j for qubit j."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+
+
+def product_state(factors) -> PureState:
+    """The tensor product of the factors' rows by np.kron, qubit 0 lowest."""
+    amps = np.ones(1, dtype=complex)
+    for f in factors:
+        amps = np.kron(f, amps)
+    return PureState(len(factors), amps)
+
+
+def mpmath_product_roots(factors) -> np.ndarray:
+    """Roots of the amplitude polynomial prod_j (a_j + b_j x^(2^j)) of a product
+    state: the 2^j-th roots of -a_j / b_j, in mpmath at 200 bits, rounded to
+    complex once each."""
+    roots = []
+    with mpmath.workprec(200):
+        for j, (a, b) in enumerate(factors):
+            ratio = -mpmath.mpc(complex(a)) / mpmath.mpc(complex(b))
+            roots.extend(complex(mpmath.root(ratio, 2**j, k)) for k in range(2**j))
+    return np.array(roots)
 
 
 def reference_roots(coeffs) -> np.ndarray:

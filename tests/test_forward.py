@@ -1,9 +1,10 @@
 """Forward calls from 5 to 10 qubits: state -> polynomial -> roots -> points.
 
-Every Gaussian state here must come back with finite points that meet the
-residual contract; the roots are checked against the companion-matrix
-eigenvalues (numpy.roots, polished in extended precision) up to 8 qubits and
-against mpmath.polyroots up to 5.
+Every Gaussian state here, and three 10-qubit product states, must come back
+with finite points that meet the residual contract; the roots are checked
+against the companion-matrix eigenvalues (numpy.roots, polished in extended
+precision) up to 8 qubits, against mpmath.polyroots up to 5, and for the
+product states against their per-qubit factors' roots in mpmath.
 """
 
 import hashlib
@@ -42,14 +43,24 @@ def constellation(encoding, state):
     return alt_constellation(state)
 
 
-# sha256 of constellation_to_json for the seeded N = 9 and 10 calls below; at
-# N = 10 both find_roots calls and the alt constellation take the decimal step
+# sha256 of constellation_to_json for the seeded Gaussian N = 9 and 10 calls
+# below; the bytes are those of the Aberth iterates, which certification
+# never moves
 FORWARD_DIGESTS = {
     ("majorana", 9): "51fec3d90ccefcbb8bce2a6281592e3e9c29b9343b51a6e1abeed26739b7e36b",
     ("alt", 9): "846af18668a2c8602cf418337ed295c1c2e4172f2ad9926a36b9589bc029313e",
     ("majorana", 10): "0f7af903d229e145a46c656fb5acada63eaf84eb600c85bd46df324d7dd406a4",
-    ("alt", 10): "56986fd92af2f85a99764ad357ce894d3915d7021dc3b5a45dc1747f16ad49b4",
+    ("alt", 10): "8ffd0db5792d4c22cf26ed7edbb563222ec82d17c176f0d683d6e9fe50742e4c",
 }
+
+# 10-qubit product states of Gaussian factors whose exact roots, rounded to
+# float64, miss |p(x)| <= 1e-12 max|c| max(1,|x|)^d at a root near |x| = 1
+PRODUCT_SEEDS = (9048, 9100, 5080)
+
+# Gaussian states at N = 5..10, then the N = 10 product states
+CONTRACT_STATES = [pytest.param(n, 700 + n, False, id=str(n)) for n in range(5, 11)] + [
+    pytest.param(10, seed, True, id=f"product{seed}") for seed in PRODUCT_SEEDS
+]
 
 
 def thetas(c):
@@ -57,25 +68,43 @@ def thetas(c):
 
 
 @pytest.mark.parametrize("encoding", ["majorana", "alt"])
-@pytest.mark.parametrize("n", range(5, 11))
-def test_forward_call_meets_the_contract(encoding, n):
-    state = helpers.random_state(np.random.default_rng(700 + n), n)
+@pytest.mark.parametrize("n, seed, product", CONTRACT_STATES)
+def test_forward_call_meets_the_contract(encoding, n, seed, product):
+    if product:
+        state = helpers.product_state(helpers.product_factors(seed))
+    else:
+        state = helpers.random_state(np.random.default_rng(seed), n)
     poly = polynomial(encoding, state)
     result = find_roots(poly)
     assert result.residual <= 1e-12
     assert np.all(np.isfinite(result.roots))
     assert len(result.roots) + result.leading_deficiency == 2**n - 1
-    # recomputed in extended precision; the float64 evaluation of the promise
-    # itself may round by about 1e-13 at degree 1023
+    # the reported backward error is an upper bound: at least its value
+    # recomputed in extended precision, against the coefficients left after
+    # deflation, of which the appended zero roots are exact roots
+    lo, hi = result.trailing_zero_roots, poly.nominal_degree - result.leading_deficiency
+    found = result.roots[: result.roots.size - lo]
+    assert result.residual >= helpers.extended_backward_error(poly.coefficients[lo : hi + 1], found)
+    # the earlier, coarser promise still holds in extended precision
     assert helpers.extended_residual(poly.coefficients, result.roots) <= 1e-11
     points = constellation(encoding, state)
     assert points.expected_size == 2**n - 1
     assert np.all(np.isfinite(thetas(points)))
     # Gaussian amplitudes imply no root at infinity
     assert not np.any(thetas(points) == np.pi)
-    if (encoding, n) in FORWARD_DIGESTS:
+    if not product and (encoding, n) in FORWARD_DIGESTS:
         digest = hashlib.sha256(constellation_to_json(points).encode()).hexdigest()
         assert digest == FORWARD_DIGESTS[encoding, n]
+
+
+@pytest.mark.parametrize("seed", PRODUCT_SEEDS)
+def test_product_state_points_match_mpmath_factor_roots(seed):
+    factors = helpers.product_factors(seed)
+    points = alt_constellation(helpers.product_state(factors))
+    assert len(points.points) == points.expected_size == 1023
+    assert np.all(np.isfinite(thetas(points)))
+    exact = helpers.mpmath_product_roots(factors)
+    assert helpers.max_chordal_mismatch(points, exact) <= 1e-12
 
 
 @pytest.mark.parametrize("encoding", ["majorana", "alt"])

@@ -1,7 +1,5 @@
 import warnings
-from decimal import Decimal
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -118,6 +116,18 @@ def test_residual_contract_holds():
         assert len(result.roots) + result.leading_deficiency == p.nominal_degree
 
 
+def test_residual_bounds_the_backward_error():
+    # |p(x)| / sum_k |c_k| |x|^k recomputed in extended precision stays at or
+    # below the reported residual, which carries the rounding term 2n eps
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for degree in (1, 2, 5, 12, 25):
+        coeffs = helpers.random_amplitudes(rng, degree + 1)
+        result = find_roots(ComplexPolynomial(coeffs))
+        assert result.residual >= 2 * degree * eps
+        assert result.residual >= helpers.extended_backward_error(coeffs, result.roots)
+
+
 def test_reconstruction_from_returned_roots():
     rng = np.random.default_rng(24)
     coeffs = helpers.random_amplitudes(rng, 11)
@@ -185,50 +195,9 @@ def test_starts_lie_on_the_newton_polygon_circles():
     np.testing.assert_allclose(np.sort(np.abs(starts)), [1e-3, 1e3, 1e3], rtol=1e-12)
 
 
-def test_decimal_value_beats_float64_horner():
-    # (x - 0.75)^20 expanded, evaluated near its root, where Horner cancels
-    # badly; for |x| > 1 the value is that of the reversed polynomial, p / x^20
-    coeffs = np.array([1.0 + 0j])
-    for _ in range(20):
-        coeffs = np.convolve(coeffs, [-0.75, 1.0])
-    x = np.array([0.76 + 0.01j, 0.74 - 0.02j, 1.3 + 0.1j])
-    with mpmath.workprec(300):
-        exact = []
-        for v in x:
-            pv = mpmath.polyval([mpmath.mpc(c) for c in coeffs[::-1]], mpmath.mpc(v))
-            exact.append(complex(pv / mpmath.mpc(v) ** 20 if abs(v) > 1 else pv))
-    exact = np.array(exact)
-    scale = np.maximum(1.0, np.abs(x))
-    bound = np.abs(np.polyval(np.abs(coeffs[::-1]), np.abs(x))) / scale**20
-    pairs = [(Decimal.from_float(c.real), Decimal.from_float(c.imag)) for c in coeffs.tolist()]
-    accurate = np.array([stellar.polyroots._decimal_value(pairs, v) for v in x])
-    orders = stellar.polyroots._both_orders(coeffs)
-    plain = stellar.polyroots._horner(orders, *stellar.polyroots._inside(x))[0]
-    # at least twice the working precision: eps |p| + (2 n eps)^2 sum |c_k| |x|^k
-    eps = np.finfo(float).eps
-    err = np.abs(accurate - exact)
-    assert np.all(err <= 2 * (eps * np.abs(exact) + (40 * eps) ** 2 * bound))
-    assert np.all(np.abs(plain - exact)[:2] > 1e6 * err[:2])
-
-
-def test_unreachable_tolerance_stops_at_the_first_missed_root(monkeypatch):
-    # every root misses 1e-30; the first one's value and stepped value fail
-    # the call, so no other root is re-evaluated in decimal
-    calls = []
-    value = stellar.polyroots._decimal_value
-    monkeypatch.setattr(
-        stellar.polyroots, "_decimal_value", lambda *a: calls.append(1) or value(*a)
-    )
-    state = helpers.random_state(np.random.default_rng(68), 4)
-    with pytest.raises(RootFindingError, match="best residual") as info:
-        find_roots(ComplexPolynomial(state.amplitudes), tol=1e-30)
-    assert len(calls) == 2
-    assert 0.0 < info.value.residual < 1e-12
-
-
 def test_certification_is_one_float64_pass(monkeypatch):
     # after the iteration, one Horner pass gives every root its value and the
-    # derivative of its decimal step
+    # sum that its backward error divides by
     calls = []
     horner, aberth = stellar.polyroots._horner, stellar.polyroots._aberth
     monkeypatch.setattr(stellar.polyroots, "_horner", lambda *a: calls.append(1) or horner(*a))
