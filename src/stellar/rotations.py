@@ -13,7 +13,8 @@ S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
 computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
 rotate_spin multiplies a spin state's ascending amplitude vector by this
-matrix as stored. Under that action the Majorana points move rigidly by
+matrix as stored, applied in that factored form at O((2S)^2) cost and never
+formed. Under that action the Majorana points move rigidly by
 so3_matrix(angles) = Rz(-alpha) Ry(beta) Rz(-gamma); the z-angle signs are
 tied to the qubit-component convention above and are pinned by tests.
 """
@@ -50,7 +51,7 @@ class EulerAngles(NamedTuple):
     gamma: float
 
 
-# holds every qubit count 1..10 at once (2S = 2^N - 1, about 11 MB together)
+# holds every qubit count 1..10 at once (2S = 2^N - 1; complex, 22.4 MB together)
 _EIGENVECTOR_CACHE_SIZE = 16
 
 
@@ -87,8 +88,18 @@ def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
 
 
 def rotate_spin(state: SpinState, angles: EulerAngles) -> SpinState:
-    """Amplitudes left-multiplied by wigner_D(two_S, angles)."""
-    return SpinState(state.two_S, wigner_D(state.two_S, angles) @ state.amplitudes)
+    """Amplitudes left-multiplied by wigner_D(two_S, angles), applied in the
+    factored form of wigner_small_d; the matrix is never formed."""
+    two_S = state.two_S
+    if two_S == 1:
+        return SpinState(1, wigner_D(1, angles) @ state.amplitudes)
+    alpha, beta, gamma = angles
+    m = 0.5 * (two_S - 2.0 * np.arange(two_S + 1))
+    w = _sy_eigenvectors(two_S)
+    # d is real: Re and Im go through as two real columns x, W^H x = conj(W^T x)
+    x = (np.exp(-1j * gamma * m) * state.amplitudes).view(float).reshape(-1, 2)
+    y = x + (w @ (np.expm1(-1j * beta * m[::-1])[:, None] * (w.T @ x).conj())).real
+    return SpinState(two_S, np.exp(-1j * alpha * m) * y.view(complex)[:, 0])
 
 
 def rotate_qubits(state: PureState, per_qubit_angles: list[EulerAngles]) -> PureState:

@@ -100,7 +100,7 @@ def test_composition_up_to_global_sign(two_S):
 
 def test_rotate_spin_preserves_norm():
     rng = np.random.default_rng(59)
-    for two_S in (1, 4, 9):
+    for two_S in (1, 4, 9, 1023):
         spin = helpers.random_spin(rng, two_S)
         rotated = rotate_spin(spin, random_angles(rng))
         np.testing.assert_allclose(
@@ -115,6 +115,48 @@ def test_rotate_spin_identity_keeps_ray():
     spin = helpers.random_spin(rng, 3)
     rotated = rotate_spin(spin, EulerAngles(0, 0, 0))
     assert rays_equal(rotated.amplitudes, spin.amplitudes)
+
+
+@pytest.mark.parametrize("two_S", [2, 3, 7, 63, 255, 1023])
+def test_rotate_spin_matches_dense_matrix(two_S):
+    rng = np.random.default_rng(90 + two_S)
+    for _ in range(3):
+        spin, ang = helpers.random_spin(rng, two_S), random_angles(rng)
+        dense = wigner_D(two_S, ang) @ spin.amplitudes
+        err = np.max(np.abs(rotate_spin(spin, ang).amplitudes - dense))
+        assert err <= 1e-14 * np.linalg.norm(spin.amplitudes)
+
+
+@pytest.mark.parametrize("two_S", [2, 3, 4, 7, 31, 63, 127])
+def test_rotate_spin_matches_matrix_exponential_oracle(two_S):
+    rng = np.random.default_rng(91 + two_S)
+    for _ in range(3):
+        spin, ang = helpers.random_spin(rng, two_S), random_angles(rng)
+        np.testing.assert_allclose(
+            rotate_spin(spin, ang).amplitudes,
+            helpers.expm_rotation(two_S, ang) @ spin.amplitudes,
+            atol=1e-10,
+        )
+
+
+@pytest.mark.parametrize("two_S", [3, 255])
+def test_rotate_spin_identity_angles_are_exact(two_S):
+    spin = helpers.random_spin(np.random.default_rng(93 + two_S), two_S)
+    rotated = rotate_spin(spin, EulerAngles(0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(rotated.amplitudes, spin.amplitudes)
+
+
+def test_rotate_spin_never_forms_the_matrix(monkeypatch):
+    from stellar import rotations
+
+    def refuse(*args):
+        raise AssertionError("dense rotation matrix formed")
+
+    rng = np.random.default_rng(94)
+    spin, ang = helpers.random_spin(rng, 255), random_angles(rng)
+    monkeypatch.setattr(rotations, "wigner_D", refuse)
+    monkeypatch.setattr(rotations, "wigner_small_d", refuse)
+    assert rotate_spin(spin, ang).two_S == 255
 
 
 def test_quarter_turn_disentangles_reference_pair(ent_pair):
