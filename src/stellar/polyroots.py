@@ -127,22 +127,20 @@ def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _both_orders(coeffs: np.ndarray) -> np.ndarray:
-    """Column 0 holds p's coefficients, column 1 those of the reversed
-    polynomial q(y) = y^n p(1/y) = p(x) / x^n, both highest order first."""
-    return np.stack([coeffs[::-1], coeffs], axis=1)
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """Value, Newton denominator and sum_k |c_k| |z|^k at each point x.
 
-
-def _inside(x: np.ndarray):
-    """big = |x| > 1, and the point z that is evaluated: 1/x where big, else
-    x, so that |z| <= 1 and no power of |x| is ever formed."""
+    Where |x| > 1 the reversed polynomial q(z) = z^n p(1/z) = p(x) / x^n is
+    evaluated at z = 1/x, elsewhere p itself at z = x, so that |z| <= 1 and
+    no power of |x| is ever formed; both orders run in one loop over all
+    points. The denominator is p' in the units of the value: p/p' = v / d
+    at z = x, and v / (n z v - z^2 d) at z = 1/x, d being q'(z).
+    """
+    n = coeffs.shape[0] - 1
     big = np.abs(x) > 1.0
-    return big, np.where(big, 1.0 / np.where(big, x, 1.0), x)
-
-
-def _horner(orders: np.ndarray, big: np.ndarray, z: np.ndarray):
-    """Value, derivative and sum_k |c_k| |z|^k at each z, in p's coefficient
-    order or the reversed one as big selects, in one loop over all points."""
+    z = np.where(big, 1.0 / np.where(big, x, 1.0), x)
+    # column 0 holds p's coefficients, column 1 q's, both highest order first
+    orders = np.array([coeffs[::-1], coeffs]).T
     columns = big.astype(np.intp)
     table, moduli = orders[:, columns], np.abs(orders)[:, columns]
     v, d, s, az = table[0].copy(), np.zeros_like(z), moduli[0], np.abs(z)
@@ -152,12 +150,7 @@ def _horner(orders: np.ndarray, big: np.ndarray, z: np.ndarray):
         v *= z
         v += row
         s = s * az + mod
-    return v, d, s
-
-
-def _newton_denominator(n: int, big, z, v, d):
-    """p' in the units of v: with y = 1/x, p/p' = v / (n y v - y^2 d)."""
-    return np.where(big, n * z * v - z * z * d, d)
+    return v, np.where(big, n * z * v - z * z * d, d), s
 
 
 def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
@@ -169,7 +162,6 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     n = coeffs.shape[0] - 1
     if n <= 1:  # no root, or the root of c_0 + c_1 x
         return -coeffs[:n] / coeffs[n:]
-    orders = _both_orders(coeffs)
     x = _newton_polygon_starts(coeffs)
     live = np.arange(n)
     # Horner's rounding error is below about 2n eps sum_k |c_k| |z|^k
@@ -177,8 +169,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         for _ in range(max_iterations):
             xl = x[live]
-            big, z = _inside(xl)
-            v, d, s = _horner(orders, big, z)
+            v, den, s = _horner(coeffs, xl)
             # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals
             dr, di = xl.real[:, None] - x.real, xl.imag[:, None] - x.imag
             sq = dr * dr + di * di
@@ -186,7 +177,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
             sums = (dr / sq).sum(axis=1) - 1j * (di / sq).sum(axis=1)
             # the Aberth step N / (1 - N sums), N = v / den, with one division;
             # a value that rounds to zero gives a step of exactly zero
-            den = _newton_denominator(n, big, z, v, d) - v * sums
+            den -= v * sums
             x[live] = xl - np.divide(v, den, out=np.zeros_like(v), where=v != 0)
             # a non-finite iterate never recovers
             if not np.all(np.isfinite(x[live])):
@@ -204,7 +195,7 @@ def _certify(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     bounds that pass's rounding, so that the number is an upper bound."""
     n = c.shape[0] - 1
     with np.errstate(all="ignore"):
-        value, _, s = _horner(_both_orders(c), *_inside(roots))
+        value, _, s = _horner(c, roots)
         return np.abs(value) / s + 2.0 * n * _EPS
 
 
@@ -220,7 +211,8 @@ def find_roots(
     set near-zero end coefficients to zero: |p(x)| / sum_k |c_k| |x|^k plus
     the rounding term 2n eps is at most tol, n being the degree left after
     deflation, so a tol below 2n eps cannot be met. If the iteration cannot
-    reach tol a RootFindingError carrying the best iterate is raised.
+    reach tol a RootFindingError carrying the best iterate is raised; its
+    message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
     merged.
     """
@@ -245,9 +237,11 @@ def _find_roots(
     residual = float(np.max(_certify(kept, raw), initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:
-        raise RootFindingError(
-            f"root iteration failed to meet tolerance {tol:.1e}", roots, residual
-        )
+        n = hi - lo
+        floor, message = 2 * n * _EPS, f"root iteration failed to meet tolerance {tol:.1e}"
+        if tol < floor:
+            message += f", below the rounding floor 2n eps = {floor:.3e} at degree n = {n}"
+        raise RootFindingError(message, roots, residual)
     return RootResult(
         roots=roots,
         leading_deficiency=p.nominal_degree - hi,

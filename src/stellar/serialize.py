@@ -49,6 +49,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise InputFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nesting level
+        raise InputFormatError("JSON nested too deeply to parse") from exc
 
 
 def _count(doc: dict, key: str) -> int:

@@ -264,6 +264,10 @@ def test_numbers_beyond_float64_exit_two(tmp_path, capsys, argv, text):
     assert_one_error_line(*run(capsys, [argv[0], str(path), *argv[1:]]))
 
 
+DEEP = "[" * 1000 + "]" * 1000
+DEEP_STATE = '{"n_qubits": 1, "amplitudes": ' + DEEP + "}"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -272,8 +276,13 @@ def test_numbers_beyond_float64_exit_two(tmp_path, capsys, argv, text):
             '{"n_qubits": 1, "amplitudes": [["1.5", true], [0, "-2e0"]]}',
         ),
         (["render", "-"], '{"expected_size": 1, "points": [{"theta": "1.0", "phi": false}]}'),
+        # nesting beyond the JSON parser's recursion limit
+        (["points", "-"], DEEP),
+        (["render", "-"], DEEP),
+        (["check-sep", "-"], DEEP_STATE),
+        (["rotate", "-", "--mode", "spin", "--angles", "0,1,2"], DEEP_STATE),
     ],
-    ids=["state", "constellation"],
+    ids=["state", "constellation", "deep-points", "deep-render", "deep-check-sep", "deep-rotate"],
 )
 def test_strings_and_booleans_are_not_numbers(argv, text):
     proc = pipe_fresh(argv, text)
@@ -332,6 +341,15 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     code, _, err = run(capsys, ["points", path, "--tol", "1e-30"])
     assert code == 3
     assert "error:" in err
+
+
+def test_unreachable_tolerance_names_the_rounding_floor(tmp_path, capsys):
+    # degree 3 after deflation: the floor is 2 * 3 * eps = 1.332e-15
+    state = helpers.make_pure_state(2, [1.1, 2.3, -0.7, 0.9])
+    code, out, err = run(capsys, ["points", write_state(tmp_path, state), "--tol", "1e-30"])
+    assert code == 3
+    assert out == ""
+    assert "below the rounding floor 2n eps = 1.332e-15 at degree n = 3" in err
 
 
 def test_six_qubit_majorana_points_match_reference(tmp_path, capsys):

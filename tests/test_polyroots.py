@@ -167,6 +167,7 @@ def test_nonconvergence_reports_best_iterate():
         find_roots(ComplexPolynomial(coeffs), tol=1e-12, max_iterations=1)
     err = info.value
     assert "best residual" in str(err)
+    assert "floor" not in str(err)  # tol is above the rounding floor 2n eps
     assert err.residual > 1e-12
     assert err.best_roots.shape == (20,)
 
@@ -206,6 +207,31 @@ def test_certification_is_one_float64_pass(monkeypatch):
     with pytest.raises(RootFindingError):
         find_roots(ComplexPolynomial(state.amplitudes), tol=1e-30)
     assert len(calls) == 1
+
+
+def test_evaluator_matches_extended_precision_on_both_sides_of_the_unit_circle():
+    # _horner evaluates p at |x| <= 1 and the reversed polynomial at 1/x
+    # beyond, where x^63 may overflow (|x| = 1e10); both must give p/p' and
+    # the backward error of p(x) itself
+    eps, rng = np.finfo(float).eps, np.random.default_rng(63)
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    turns = np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1))
+    radii = np.outer([0.3, 0.9, below, above, 1.1, 3.0, 1e10], turns).ravel()
+    axes = np.outer([below, above], [1, -1, 1j, -1j]).ravel()  # |x| exact
+    points = np.concatenate([radii, axes])
+    for n in range(1, 64):
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        x = points[np.min(np.abs(points[:, None] - np.roots(c[::-1])), axis=1) > 0.02]
+        v, den, s = stellar.polyroots._horner(c, x)
+        ce, xe, k = c.astype(np.clongdouble), x.astype(np.clongdouble), np.arange(1, n + 1)
+        p, dp = helpers.extended_horner(ce, xe), helpers.extended_horner(k * ce[1:], xe)
+        a, ax = np.abs(ce), np.abs(xe)
+        sums, dsums = helpers.extended_horner(a, ax), helpers.extended_horner(k * a[1:], ax)
+        # Horner's relative error is about n eps times the condition number
+        cond = 1 + sums / np.abs(p) + dsums / np.abs(dp)
+        assert np.all(np.abs(v / den - p / dp) <= 4 * n * eps * cond * np.abs(p / dp)), n
+        assert np.all(np.abs(np.abs(v) / s - np.abs(p) / sums) <= 4 * n * eps), n
+        assert np.any(np.abs(x) == above) and np.any(np.abs(x) == below), n
 
 
 def test_iteration_limit_still_raises_on_a_large_polynomial():
