@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Constellation, _from_angles, points_from_roots
-from .polyroots import ComplexPolynomial, find_roots
+from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
 from .states import PureState, tensor_product
 
 __all__ = [
@@ -127,7 +127,7 @@ def separable_constellation(f: SeparableFactorization) -> Constellation:
     return _from_angles(np.concatenate(thetas), np.concatenate(phis))
 
 
-def alt_constellation(state: PureState, tol: float = 1e-12) -> Constellation:
+def alt_constellation(state: PureState, tol: float = DEFAULT_ROOT_TOL) -> Constellation:
     """The 2^N - 1 roots of the plain amplitude polynomial as sphere points."""
     result = find_roots(alt_polynomial(state), tol)
     return points_from_roots(

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .altsep import alt_constellation, decide_separability
+from .altsep import DEFAULT_SEPARABILITY_TOL, alt_constellation, decide_separability
 from .majorana import majorana_constellation
-from .polyroots import RootFindingError
+from .polyroots import DEFAULT_ROOT_TOL, RootFindingError
 from .render import RenderSpec, render_svg
 from .rotations import EulerAngles, rotate_qubits, rotate_qubits_uniform, rotate_spin
 from .serialize import (
@@ -30,8 +30,6 @@ from .serialize import (
 from .states import PureState, qubits_from_spin, spin_from_qubits
 
 __all__ = ["main"]
-
-_DEG = math.pi / 180.0
 
 
 def _read_text(path: str) -> str:
@@ -51,7 +49,7 @@ def _parse_triple(text: str, degrees: bool) -> EulerAngles:
     if not all(map(math.isfinite, vals)):
         raise InputFormatError(f"angles must be finite, got {text!r}")
     if degrees:
-        vals = [v * _DEG for v in vals]
+        vals = [math.radians(v) for v in vals]
     return EulerAngles(*vals)
 
 
@@ -140,7 +138,7 @@ def cmd_demo(args) -> int:
     for label, describing, state in states:
         verdicts[label] = decide_separability(state).separable
         for row, encoding in (("1", "majorana"), ("2", "alt")):
-            constellation = _constellation_for(state, encoding, 1e-12)
+            constellation = _constellation_for(state, encoding, DEFAULT_ROOT_TOL)
             name = f"figure-{row}{label}.svg"
             (out / name).write_text(render_svg(constellation, spec))
             pts = ", ".join(
@@ -177,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-12,
+        default=DEFAULT_ROOT_TOL,
         help="bound on the roots' relative backward error in the amplitudes",
     )
     p.set_defaults(func=cmd_points)
@@ -195,7 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sep", help="tensor-product test (verdict JSON to stdout)")
     p.add_argument("state", help="state JSON path, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-8, help="singular-value ratio bound")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_SEPARABILITY_TOL, help="singular-value ratio bound"
+    )
     p.set_defaults(func=cmd_check_sep)
 
     p = sub.add_parser("render", help="render a constellation to SVG on stdout")

@@ -15,12 +15,13 @@ one array of 2S + 1 coefficients.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import BlochPoint, Constellation, _angles, points_from_roots
-from .polyroots import ComplexPolynomial, _find_roots
+from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
 from .states import PureState, SpinState, spin_from_qubits
 
 __all__ = [
@@ -59,9 +60,22 @@ def sqrt_binomials(n: int) -> np.ndarray:
     return np.sqrt(row)
 
 
+@dataclass(frozen=True)
+class _MajoranaPolynomial(ComplexPolynomial):
+    """A Majorana polynomial that keeps the amplitudes its ends are judged on."""
+
+    amplitudes: np.ndarray
+
+    def _deflation_sizes(self) -> np.ndarray:
+        return np.abs(self.amplitudes)
+
+
 def majorana_polynomial(state: SpinState) -> ComplexPolynomial:
-    """Coefficients sqrt(binom(2S, m)) * amplitudes[m], low order first."""
-    return ComplexPolynomial(sqrt_binomials(state.two_S) * state.amplitudes)
+    """Coefficients sqrt(binom(2S, m)) * amplitudes[m], low order first. Its
+    near-zero ends are judged on the amplitudes: the weights span about 1e18
+    at 2S = 127, so a test on the weighted ends would send roots to the poles."""
+    amps = state.amplitudes
+    return _MajoranaPolynomial(sqrt_binomials(state.two_S) * amps, amps)
 
 
 def qubit_majorana_polynomial(state: PureState) -> ComplexPolynomial:
@@ -69,11 +83,14 @@ def qubit_majorana_polynomial(state: PureState) -> ComplexPolynomial:
     return majorana_polynomial(spin_from_qubits(state))
 
 
-def _spinor_product(alpha: np.ndarray, beta: np.ndarray, scale: complex = 1.0) -> SpinState:
-    """prod_k (alpha_k x + beta_k), expanded in place, over the binomial weights."""
-    two_s = len(alpha)
+def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0) -> SpinState:
+    """Symmetrized state of 2S spinors, Spinors or a (2S, 2) array, over the
+    binomial weights. A spinor with alpha = 0 (a south-pole direction) lowers
+    the product degree; the all-zero spinor is rejected."""
+    two_s = len(spinors)
     if two_s == 0:
         raise ValueError("need at least one spinor")
+    alpha, beta = np.asarray(spinors, dtype=complex).reshape(two_s, 2).T
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
     coeffs = np.zeros(two_s + 1, dtype=complex)
@@ -83,15 +100,6 @@ def _spinor_product(alpha: np.ndarray, beta: np.ndarray, scale: complex = 1.0) -
         coeffs[: k + 1] *= b
         coeffs[1 : k + 2] += high
     return SpinState(two_s, scale * coeffs / sqrt_binomials(two_s))
-
-
-def state_from_spinors(spinors: list[Spinor], scale: complex = 1.0) -> SpinState:
-    """Symmetrized state of 2S spinors: prod_k (alpha_k x + beta_k), expanded in
-    place one factor at a time, over the binomial weights. A spinor with
-    alpha = 0 (a south-pole direction) lowers the product degree; the all-zero
-    spinor is rejected."""
-    alpha, beta = np.array(spinors, dtype=complex).reshape(len(spinors), 2).T
-    return _spinor_product(alpha, beta, scale)
 
 
 def _spinors(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -106,19 +114,12 @@ def spinor_for_point(point: BlochPoint) -> Spinor:
     return Spinor(alpha[0], beta[0])
 
 
-def majorana_constellation(
-    state: SpinState, tol: float = 1e-12
-) -> Constellation:
-    """The 2S Majorana points of a spin state (multiset, south poles padded).
-
-    Deflation is judged on the amplitudes, not on the weighted coefficients:
-    the weights span about 1e18 at 2S = 127, so a relative test on the
-    weighted ends would send genuine roots to the poles.
-    """
-    result = _find_roots(majorana_polynomial(state), np.abs(state.amplitudes), tol)
+def majorana_constellation(state: SpinState, tol: float = DEFAULT_ROOT_TOL) -> Constellation:
+    """The 2S Majorana points of a spin state (multiset, south poles padded)."""
+    result = find_roots(majorana_polynomial(state), tol)
     return points_from_roots(result.roots, result.leading_deficiency, state.two_S)
 
 
 def state_from_constellation(constellation: Constellation) -> SpinState:
     """Spin state whose Majorana points are the given constellation (scale 1)."""
-    return _spinor_product(*_spinors(constellation))
+    return state_from_spinors(np.stack(_spinors(constellation), axis=-1))

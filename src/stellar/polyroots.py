@@ -15,8 +15,10 @@ state encodings, the weights cancel and the distance is one in the amplitudes
 a_k, up to the rounding of w_k a_k. Near-zero leading coefficients are
 deflated and reported as a degree deficiency; near-zero trailing
 coefficients are deflated exactly and reappear as roots at the origin;
-either way the deflated coefficients count as set to zero. No randomness is
-used anywhere, so identical inputs give identical outputs.
+either way the deflated coefficients count as set to zero. Which ends are
+near zero is judged on the sizes the polynomial gives: |c_k|, or |a_k| for
+the Majorana polynomial. No randomness is used anywhere, so identical inputs
+give identical outputs.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ __all__ = [
     "RootResult",
     "RootFindingError",
     "COEFF_DEFLATION_RTOL",
+    "DEFAULT_ROOT_TOL",
     "evaluate",
     "find_roots",
 ]
 
-# Coefficients at or below this fraction of the largest magnitude are treated
-# as zero during leading/trailing deflation; the leading count is reported as
-# RootResult.leading_deficiency.
+# Coefficients whose size is at or below this fraction of the largest size are
+# treated as zero during leading/trailing deflation; the size is |c_k|, or the
+# amplitude |a_k| for the Majorana polynomial. The leading count is reported
+# as RootResult.leading_deficiency.
 COEFF_DEFLATION_RTOL = 1e-12
+
+# Default bound on the roots' relative backward error.
+DEFAULT_ROOT_TOL = 1e-12
 
 _MAX_ITERATIONS = 200
 
@@ -61,6 +68,10 @@ class ComplexPolynomial:
     @property
     def nominal_degree(self) -> int:
         return self.coefficients.shape[0] - 1
+
+    def _deflation_sizes(self) -> np.ndarray:
+        """The sizes near-zero ends are judged on: |c_k|."""
+        return np.abs(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -188,56 +199,38 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     return x
 
 
-def _certify(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Each root's relative backward error in the coefficients,
-    |p(x)| / sum_k |c_k| |x|^k, from one float64 Horner pass by the reversed
-    split, where the factor |x|^n of both sums cancels; plus 2n eps, which
-    bounds that pass's rounding, so that the number is an upper bound."""
-    n = c.shape[0] - 1
-    with np.errstate(all="ignore"):
-        value, _, s = _horner(c, roots)
-        return np.abs(value) / s + 2.0 * n * _EPS
-
-
 def find_roots(
     p: ComplexPolynomial,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_ROOT_TOL,
     max_iterations: int = _MAX_ITERATIONS,
 ) -> RootResult:
     """All complex roots of p, with multiplicity, plus deflation counts.
 
-    Each returned root x is an exact root of a polynomial whose every
-    coefficient is within relative distance tol of c_k, after deflation has
-    set near-zero end coefficients to zero: |p(x)| / sum_k |c_k| |x|^k plus
-    the rounding term 2n eps is at most tol, n being the degree left after
+    Near-zero end coefficients are judged on |c_k|, or for the Majorana
+    polynomial on the amplitudes |a_k|, and set to zero. Each returned root
+    x is then an exact root of a polynomial whose every coefficient is
+    within relative distance tol of c_k: |p(x)| / sum_k |c_k| |x|^k plus the
+    rounding term 2n eps is at most tol, n being the degree left after
     deflation, so a tol below 2n eps cannot be met. If the iteration cannot
     reach tol a RootFindingError carrying the best iterate is raised; its
     message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
     merged.
     """
-    return _find_roots(p, np.abs(p.coefficients), tol, max_iterations)
-
-
-def _find_roots(
-    p: ComplexPolynomial,
-    magnitudes: np.ndarray,
-    tol: float,
-    max_iterations: int = _MAX_ITERATIONS,
-) -> RootResult:
-    """find_roots with deflation judged on the given magnitudes, one per
-    coefficient, instead of on |c_k| itself."""
-    c = p.coefficients
-    live = np.flatnonzero(magnitudes > COEFF_DEFLATION_RTOL * np.max(magnitudes))
+    sizes = p._deflation_sizes()
+    live = np.flatnonzero(sizes > COEFF_DEFLATION_RTOL * np.max(sizes))
     lo, hi = int(live[0]), int(live[-1])
-    kept = c[lo : hi + 1]
+    n, kept = hi - lo, p.coefficients[lo : hi + 1]
     raw = _aberth(kept, max_iterations)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
-    # the zero roots are exact roots of the deflated polynomial
-    residual = float(np.max(_certify(kept, raw), initial=0.0))
+    # one float64 Horner pass by the reversed split, where the factor |x|^n of
+    # both sums cancels, plus 2n eps, which bounds that pass's rounding; the
+    # zero roots are exact roots of the deflated polynomial
+    with np.errstate(all="ignore"):
+        value, _, s = _horner(kept, raw)
+        residual = float(np.max(np.abs(value) / s + 2.0 * n * _EPS, initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:
-        n = hi - lo
         floor, message = 2 * n * _EPS, f"root iteration failed to meet tolerance {tol:.1e}"
         if tol < floor:
             message += f", below the rounding floor 2n eps = {floor:.3e} at degree n = {n}"

@@ -156,6 +156,8 @@ def _overlap_terms(a, b):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not (np.any(a) and np.any(b)):
+        raise ValueError("state vector is identically zero")
     return np.vdot(a, b), np.vdot(a, a).real, np.vdot(b, b).real
 
 

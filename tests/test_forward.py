@@ -22,12 +22,13 @@ from stellar import (
     majorana_constellation,
     majorana_polynomial,
     matching_max_distance,
+    points_from_roots,
+    qubit_majorana_polynomial,
     rotate_constellation,
     rotate_spin,
     so3_matrix,
     spin_from_qubits,
 )
-from stellar.polyroots import _find_roots
 
 import helpers
 
@@ -76,13 +77,7 @@ def test_forward_call_meets_the_contract(encoding, n, seed, product):
     else:
         state = helpers.random_state(np.random.default_rng(seed), n)
     poly = polynomial(encoding, state)
-    if encoding == "majorana":
-        # deflation on the amplitudes, as majorana_constellation does; on
-        # |c_k| it drops hundreds of the 1023 roots at N = 10
-        spin = spin_from_qubits(state)
-        result = _find_roots(poly, np.abs(spin.amplitudes), 1e-12)
-    else:
-        result = find_roots(poly)
+    result = find_roots(poly)
     assert result.residual <= 1e-12
     assert np.all(np.isfinite(result.roots))
     assert len(result.roots) + result.leading_deficiency == 2**n - 1
@@ -102,6 +97,17 @@ def test_forward_call_meets_the_contract(encoding, n, seed, product):
     if not product and (encoding, n) in FORWARD_DIGESTS:
         digest = hashlib.sha256(constellation_to_json(points).encode()).hexdigest()
         assert digest == FORWARD_DIGESTS[encoding, n]
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_majorana_polynomial_deflates_on_the_amplitudes(n):
+    # on |c_k| the weights would send hundreds of the 1023 roots at N = 10 to
+    # the poles; the public calls must give majorana_constellation's points
+    state = helpers.random_state(np.random.default_rng(700 + n), n)
+    result = find_roots(qubit_majorana_polynomial(state))
+    assert result.trailing_zero_roots == result.leading_deficiency == 0
+    points = points_from_roots(result.roots, result.leading_deficiency, 2**n - 1)
+    assert points == majorana_constellation(spin_from_qubits(state))
 
 
 @pytest.mark.parametrize("seed", PRODUCT_SEEDS)

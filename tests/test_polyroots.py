@@ -2,14 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stellar.polyroots
 from stellar import (
+    COEFF_DEFLATION_RTOL,
     ComplexPolynomial,
     RootFindingError,
+    SpinState,
     evaluate,
     find_roots,
     majorana_constellation,
+    majorana_polynomial,
+    points_from_roots,
     spin_from_qubits,
 )
 
@@ -83,6 +88,40 @@ def test_deflation_threshold_is_relative():
     # top coefficient far below the largest one counts as absent
     result = find_roots(ComplexPolynomial([1e6, 1e6, 1e-8]))
     assert result.leading_deficiency == 1
+
+
+# an end amplitude is exactly zero, well below the deflation threshold
+# relative to O(1) interior amplitudes, or well above it
+END_AMPLITUDE = st.one_of(st.just(0.0), st.floats(1e-22, 1e-13), st.floats(1e-11, 1e-6))
+
+
+@st.composite
+def spin_with_small_ends(draw):
+    """Gaussian interior amplitudes, with up to four drawn ones at each end."""
+    two_s = draw(st.integers(2, 31))
+    low = draw(st.lists(END_AMPLITUDE, max_size=min(4, two_s // 2)))
+    high = draw(st.lists(END_AMPLITUDE, max_size=min(4, two_s - len(low))))
+    interior = helpers.random_amplitudes(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), two_s + 1 - len(low) - len(high)
+    )
+    return SpinState(two_s, np.concatenate([low, interior, high]))
+
+
+def end_run(sizes):
+    """How many sizes from the start are at or below the deflation threshold;
+    the largest never is, so the run ends at the first size above it."""
+    return int(np.argmin(sizes <= COEFF_DEFLATION_RTOL * np.max(sizes)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(spin_with_small_ends())
+def test_majorana_ends_are_judged_on_the_amplitudes(spin):
+    sizes = np.abs(spin.amplitudes)
+    result = find_roots(majorana_polynomial(spin))
+    assert result.trailing_zero_roots == end_run(sizes)
+    assert result.leading_deficiency == end_run(sizes[::-1])
+    points = points_from_roots(result.roots, result.leading_deficiency, spin.two_S)
+    assert points == majorana_constellation(spin)
 
 
 def test_recovers_known_random_roots():

@@ -194,6 +194,13 @@ def test_ray_fidelity_orthogonal_is_zero():
     assert not rays_equal([1, 0.1], [1, 0])
 
 
+@pytest.mark.parametrize("helper", [ray_fidelity, rays_equal])
+@pytest.mark.parametrize("pair", [([0, 0], [1, 0]), ([1j, 2], [0, 0])], ids=["a", "b"])
+def test_ray_helpers_reject_zero_vectors(helper, pair):
+    with pytest.raises(ValueError, match="identically zero"):
+        helper(*pair)
+
+
 def test_ray_helpers_reject_shape_mismatch():
     with pytest.raises(ValueError):
         ray_fidelity([1, 0], [1, 0, 0])
