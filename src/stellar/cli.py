@@ -142,7 +142,8 @@ def cmd_demo(args) -> int:
             name = f"figure-{row}{label}.svg"
             (out / name).write_text(render_svg(constellation, spec))
             pts = ", ".join(
-                f"(theta={p.theta:.6f}, phi={p.phi:.6f})" for p in constellation.points
+                f"(theta={t:.6f}, phi={p:.6f})"
+                for t, p in zip(constellation.thetas.tolist(), constellation.phis.tolist())
             )
             summary.append(f"{name}: {encoding} points of ({label}) {describing}")
             summary.append(f"    {pts}")

@@ -29,18 +29,56 @@ class BlochPoint:
     phi: float
 
 
-@dataclass(frozen=True)
 class Constellation:
-    """Multiset of sphere points; expected_size tracks 2S or 2^N - 1."""
+    """Multiset of sphere points; expected_size tracks 2S or 2^N - 1.
 
-    points: tuple[BlochPoint, ...]
-    expected_size: int
+    The points are stored as read-only float64 arrays thetas and phis. The
+    tuple of BlochPoints in .points is built from them on first access and
+    cached; one built from BlochPoints keeps the tuple it was given.
+    """
 
-    def __post_init__(self):
-        if len(self.points) != self.expected_size:
-            raise ValueError(
-                f"constellation has {len(self.points)} points, expected {self.expected_size}"
-            )
+    def __init__(self, points, expected_size: int):
+        points = tuple(points)
+        thetas = np.array([p.theta for p in points], dtype=float)
+        self._store(thetas, np.array([p.phi for p in points], dtype=float), expected_size)
+        self.__dict__["_points"] = points
+
+    @classmethod
+    def _of(cls, thetas: np.ndarray, phis: np.ndarray, expected_size: int) -> Constellation:
+        """Wrap two float64 angle arrays as they are, without BlochPoints."""
+        c = cls.__new__(cls)
+        c._store(thetas, phis, expected_size)
+        return c
+
+    def _store(self, thetas: np.ndarray, phis: np.ndarray, expected_size: int) -> None:
+        if thetas.size != expected_size:
+            raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
+        thetas.flags.writeable = phis.flags.writeable = False
+        self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size, _points=None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Constellation is read-only: cannot set {name!r}")
+
+    def __reduce__(self):  # copies and unpickled ones get read-only arrays too
+        return Constellation._of, (self.thetas, self.phis, self.expected_size)
+
+    @property
+    def points(self) -> tuple[BlochPoint, ...]:
+        if self._points is None:
+            points = tuple(map(BlochPoint, self.thetas.tolist(), self.phis.tolist()))
+            self.__dict__["_points"] = points
+        return self._points
+
+    def __eq__(self, other):
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return (self.points, self.expected_size) == (other.points, other.expected_size)
+
+    def __hash__(self):
+        return hash((self.points, self.expected_size))
+
+    def __repr__(self):
+        return f"Constellation(points={self.points!r}, expected_size={self.expected_size!r})"
 
 
 def _from_angles(thetas, phis) -> Constellation:
@@ -50,12 +88,7 @@ def _from_angles(thetas, phis) -> Constellation:
     # np.mod rounds phi in about (-4.4e-16, 0) up to exactly 2pi
     phis = np.mod(phis, 2.0 * np.pi)
     phis = np.where((thetas == 0.0) | (thetas == np.pi) | (phis == 2.0 * np.pi), 0.0, phis)
-    return Constellation(tuple(map(BlochPoint, thetas.tolist(), phis.tolist())), thetas.size)
-
-
-def _angles(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """theta and phi arrays of a constellation's points, in order."""
-    return np.array([(p.theta, p.phi) for p in constellation.points]).reshape(-1, 2).T
+    return Constellation._of(thetas, phis, thetas.size)
 
 
 def _from_cartesian(rows) -> Constellation:
@@ -91,7 +124,7 @@ def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Con
 
 def to_cartesian(obj) -> np.ndarray:
     """Unit vector(s) for a BlochPoint or a Constellation."""
-    theta, phi = _angles(obj) if isinstance(obj, Constellation) else (obj.theta, obj.phi)
+    theta, phi = (obj.thetas, obj.phis) if isinstance(obj, Constellation) else (obj.theta, obj.phi)
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
@@ -101,10 +134,13 @@ def point_from_cartesian(v) -> BlochPoint:
     return _from_cartesian(np.asarray(v, dtype=float).reshape(1, 3)).points[0]
 
 
-def _angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Great-circle angle between unit vectors on the last axis, broadcast."""
-    dots = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=-1), dots)
+def _angle(u, v) -> np.ndarray:
+    """Great-circle angle between unit vectors given as their x, y and z
+    coordinate planes, (ux, uy, uz) and (vx, vy, vz), broadcast together."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    dots = np.clip(ux * vx + uy * vy + uz * vz, -1.0, 1.0)
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dots)
 
 
 def geodesic_distance(p: BlochPoint, q: BlochPoint) -> float:
@@ -119,7 +155,7 @@ def _match(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarray]:
     # deferred so that `import stellar` and the CLI load numpy only
     from scipy.optimize import linear_sum_assignment
 
-    dist = _angle(to_cartesian(a)[:, None, :], to_cartesian(b)[None, :, :])
+    dist = _angle(to_cartesian(a).T[:, :, None], to_cartesian(b).T[:, None, :])
     # square cost matrix: the row indices come back as arange(n)
     _, cols = linear_sum_assignment(dist)
     return cols, dist

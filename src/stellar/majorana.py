@@ -16,11 +16,12 @@ one array of 2S + 1 coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BlochPoint, Constellation, _angles, points_from_roots
+from .geometry import BlochPoint, Constellation, points_from_roots
 from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
 from .states import PureState, SpinState, spin_from_qubits
 
@@ -47,8 +48,10 @@ class Spinor(NamedTuple):
 _MAX_TWO_S = 1029
 
 
+@lru_cache(maxsize=64)
 def sqrt_binomials(n: int) -> np.ndarray:
-    """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded once."""
+    """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded
+    once. The row is cached per n and returned read-only."""
     if n > _MAX_TWO_S:
         raise ValueError(
             f"Majorana weights need 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"
@@ -57,7 +60,9 @@ def sqrt_binomials(n: int) -> np.ndarray:
     for k in range(n):
         c = c * (n - k) // (k + 1)
         row.append(float(c))
-    return np.sqrt(row)
+    row = np.sqrt(row)
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,8 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
 
 def _spinors(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Spinor of each point's direction: (cos t/2, -sin t/2 e^{i phi})."""
-    theta, phi = _angles(constellation)
-    return np.cos(0.5 * theta), -np.sin(0.5 * theta) * np.exp(1j * phi)
+    half = 0.5 * constellation.thetas
+    return np.cos(half), -np.sin(half) * np.exp(1j * constellation.phis)
 
 
 def spinor_for_point(point: BlochPoint) -> Spinor:

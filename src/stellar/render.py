@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Constellation, _angles, to_cartesian
+from .geometry import Constellation, to_cartesian
 
 __all__ = ["RenderSpec", "render_svg"]
 
@@ -76,27 +76,27 @@ def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
     u, v, depth = to_cartesian(constellation)[:, view].T
     near = depth >= -_LIMB_TOL
     # far hemisphere first so near points overdraw; then deterministic order
-    theta, phi = _angles(constellation)
-    order = np.lexsort((phi, theta, near))
+    order = np.lexsort((constellation.phis, constellation.thetas, near))
 
+    xs = map(_fmt, (cx + u[order] * radius).tolist())
+    ys = map(_fmt, (cy - v[order] * radius).tolist())
+    point_r = _fmt(spec.point_radius_px)
     groups: dict[tuple[str, str], int] = {}
-    for x, y, is_near in zip(u[order].tolist(), v[order].tolist(), near[order].tolist()):
-        key = (px(x), py(y))
+    for key, is_near in zip(zip(xs, ys), near[order].tolist()):
         groups[key] = groups.get(key, 0) + 1
         fill, opacity = ("#1f5fbf", "1.0") if is_near else ("#7da4d6", "0.55")
         lines.append(
-            f'<circle cx="{key[0]}" cy="{key[1]}" r="{_fmt(spec.point_radius_px)}" '
+            f'<circle cx="{key[0]}" cy="{key[1]}" r="{point_r}" '
             f'fill="{fill}" fill-opacity="{opacity}" stroke="#10305f" stroke-width="1"/>'
         )
     badge_off = spec.point_radius_px + 3.0
-    for (sx, sy), count in sorted(groups.items()):
-        if count > 1:
-            bx = _fmt(float(sx) + badge_off)
-            by = _fmt(float(sy) - badge_off)
-            lines.append(
-                f'<text x="{bx}" y="{by}" font-family="sans-serif" '
-                f'font-size="{_fmt(max(10.0, size / 36.0))}" fill="#10305f">'
-                f"&#215;{count}</text>"
-            )
+    for (sx, sy), count in sorted(item for item in groups.items() if item[1] > 1):
+        bx = _fmt(float(sx) + badge_off)
+        by = _fmt(float(sy) - badge_off)
+        lines.append(
+            f'<text x="{bx}" y="{by}" font-family="sans-serif" '
+            f'font-size="{_fmt(max(10.0, size / 36.0))}" fill="#10305f">'
+            f"&#215;{count}</text>"
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 """JSON wire formats for states, constellations, and separability verdicts.
 
-Floats go through Python's shortest-round-trip repr, so writing and reading
-back is bit-exact and byte-identical across runs. Output is strict JSON: a
-NaN or infinite value raises ValueError instead of being written.
+Documents are written straight from arrays, byte for byte as the json
+module writes them with a two-space indent. Floats go through Python's
+shortest-round-trip repr, so writing and reading back is bit-exact and
+byte-identical across runs. Output is strict JSON: a NaN or infinite value
+raises ValueError instead of being written.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .altsep import SeparabilityVerdict
-from .geometry import BlochPoint, Constellation
+from .geometry import Constellation
 from .states import PureState, make_pure_state
 
 __all__ = [
@@ -31,17 +33,36 @@ class InputFormatError(ValueError):
     """A JSON document does not match the expected wire format."""
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _table(rows: np.ndarray, keys: tuple[str, ...] = ()) -> str:
+    """A (n, k) float array as an indent-2 JSON list one level down: each row
+    a list of k numbers or, given k keys, an object."""
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    if rows.size == 0:
+        return "[]"
+    items = [f'"{k}": %s' for k in keys] or ["%s"] * rows.shape[1]
+    opening, closing = "{}" if keys else "[]"
+    row = f"{opening}\n      " + ",\n      ".join(items) + f"\n    {closing}"
+    text = ",\n    ".join([row] * len(rows)) % tuple(map(float.__repr__, rows.ravel().tolist()))
+    return "[\n    " + text + "\n  ]"
+
+
+def _write(fields: dict[str, Any]) -> str:
+    """The json module's strict two-space-indented text of fields, plus a
+    newline, written directly: a value that is a tuple holds _table's
+    arguments, and any other value is a scalar that the compact encoder
+    writes."""
+    lines = [
+        f'  "{key}": '
+        + (_table(*value) if isinstance(value, tuple) else json.dumps(value, allow_nan=False))
+        for key, value in fields.items()
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def state_to_json(state: PureState) -> str:
-    return _dump(
-        {
-            "n_qubits": state.n_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-        }
-    )
+    rows = np.stack([state.amplitudes.real, state.amplitudes.imag], 1)
+    return _write({"n_qubits": state.n_qubits, "amplitudes": (rows,)})
 
 
 def _load(text: str) -> Any:
@@ -96,11 +117,9 @@ def state_from_json(text: str) -> PureState:
 
 
 def constellation_to_json(constellation: Constellation) -> str:
-    return _dump(
-        {
-            "expected_size": constellation.expected_size,
-            "points": [{"theta": p.theta, "phi": p.phi} for p in constellation.points],
-        }
+    angles = np.stack([constellation.thetas, constellation.phis], 1)
+    return _write(
+        {"expected_size": constellation.expected_size, "points": (angles, ("theta", "phi"))}
     )
 
 
@@ -110,11 +129,12 @@ def constellation_from_json(text: str) -> Constellation:
         raise InputFormatError("constellation document must be a JSON object")
     try:
         size = _count(doc, "expected_size")
-        pts = tuple(BlochPoint(_float(p["theta"]), _float(p["phi"])) for p in doc["points"])
+        angles = [(_float(p["theta"]), _float(p["phi"])) for p in doc["points"]]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing or malformed constellation field: {exc}") from exc
+    thetas, phis = np.array(angles, dtype=float).reshape(-1, 2).T.copy()
     try:
-        return Constellation(pts, size)
+        return Constellation._of(thetas, phis, size)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -123,8 +143,8 @@ def verdict_to_json(verdict: SeparabilityVerdict) -> str:
     factors = None
     if verdict.factorization is not None:
         f = verdict.factorization
-        factors = [[a.real, a.imag, b.real, b.imag] for a, b in f.factors]
-    return _dump(
+        factors = (np.array([[a.real, a.imag, b.real, b.imag] for a, b in f.factors]),)
+    return _write(
         {
             "separable": verdict.separable,
             "factors": factors,

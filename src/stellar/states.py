@@ -152,12 +152,15 @@ def qubits_from_spin(spin: SpinState) -> PureState:
 
 
 def _overlap_terms(a, b):
+    """<a|b>, <a|a> and <b|b> of the two vectors, each first divided by its
+    largest modulus so that no product overflows or underflows."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     if not (np.any(a) and np.any(b)):
         raise ValueError("state vector is identically zero")
+    a, b = a / np.abs(a).max(), b / np.abs(b).max()
     return np.vdot(a, b), np.vdot(a, a).real, np.vdot(b, b).real
 
 

@@ -10,8 +10,10 @@ factorial sum, coherent states are built term by term in log space, sphere
 points are built and read one point at a time with scalar arithmetic, and
 reference roots come from the companion matrix's eigenvalues with
 residuals and backward errors in extended precision, and a product state's
-roots from its per-qubit factors in mpmath at 200 bits, so agreement with
-the package is evidence rather than tautology.
+roots from its per-qubit factors in mpmath at 200 bits, pairwise sphere
+angles from np.cross over (n, n, 3) arrays, and JSON text from the standard
+library's encoder, so agreement with the package is evidence rather than
+tautology.
 """
 
 import itertools
@@ -83,6 +85,11 @@ def w_state(n: int) -> PureState:
     for j in range(n):
         amps[2**j] = 1.0
     return PureState(n, amps)
+
+
+def json_dumps_oracle(obj) -> str:
+    """The standard library's indent-2 strict JSON text, newline-terminated."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def strict_json(text: str):
@@ -248,6 +255,15 @@ def exhaustive_min_assignment(cost) -> float:
         sum(row[j] for row, j in zip(rows, perm))
         for perm in itertools.permutations(range(len(rows)))
     )
+
+
+def cross_product_angles(u, v) -> np.ndarray:
+    """(n, m) great-circle angles between the unit rows of u and of v: the
+    arctangent of |u x v| over u . v, by np.cross and np.linalg.norm on
+    (n, m, 3) arrays."""
+    u, v = np.asarray(u)[:, None, :], np.asarray(v)[None, :, :]
+    dots = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
+    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=-1), dots)
 
 
 def closed_form_spinor_rotation(a: complex, b: complex, angles):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from stellar import (
     points_from_roots,
     to_cartesian,
 )
+
+from stellar import geometry
 
 import helpers
 
@@ -30,6 +35,46 @@ def test_constellation_size_check():
     with pytest.raises(ValueError):
         Constellation(pts, 2)
     assert Constellation((), 0).points == ()
+
+
+def test_constellation_from_points_keeps_its_angles_in_read_only_arrays():
+    pts = helpers.coincident_points(np.random.default_rng(604), 9).points
+    c = Constellation(pts, 9)
+    assert c.points == pts and c.expected_size == 9
+    for name, got in (("theta", c.thetas), ("phi", c.phis)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([getattr(p, name) for p in pts]).tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    with pytest.raises(AttributeError):
+        c.thetas = np.zeros(9)
+    for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert other == c and not other.thetas.flags.writeable
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1023])
+def test_points_built_from_arrays_round_trip_exactly(count):
+    roots = helpers.root_spread(np.random.default_rng(605), 1023)[:count]
+    c = points_from_roots(roots, 0, count)
+    assert c.points == tuple(map(BlochPoint, c.thetas.tolist(), c.phis.tolist()))
+    back = Constellation(c.points, count)
+    assert back.thetas.tobytes() == c.thetas.tobytes()
+    assert back.phis.tobytes() == c.phis.tobytes()
+    assert back.points == c.points
+
+
+def test_constellation_equality_and_hash_follow_points():
+    arrays = points_from_roots([2.0j, -1.0, 0.0], 1, 4)
+    pts = arrays.points
+    signed = tuple(BlochPoint(p.theta, -p.phi if p.phi == 0.0 else p.phi) for p in pts)
+    moved = pts[:-1] + (BlochPoint(pts[-1].theta, 1e-300),)
+    for other in (pts, signed, moved, pts[:-1] + (pts[0],)):
+        c = Constellation(other, 4)
+        assert (c == arrays) == (other == pts) == (arrays == c)
+        if other == pts:
+            assert hash(c) == hash(arrays)
+    assert arrays != Constellation(pts[:3], 3)
+    assert arrays != pts
 
 
 def test_points_from_roots_equatorial_triple():
@@ -179,6 +224,22 @@ def test_point_from_cartesian_matches_pointwise_oracle():
     vectors[2::7, 1] = -0.0
     for v in vectors:
         assert point_from_cartesian(v) == helpers.pointwise_point_from_cartesian(v)
+
+
+@pytest.mark.parametrize("count", [1, 8, 9, 128, 255])
+def test_pairwise_angles_match_the_cross_product_oracle(count):
+    rng = np.random.default_rng(606 + count)
+    a = helpers.coincident_points(rng, count) if count >= 5 else helpers.make_constellation(
+        [(1.0, 2.0)] * count
+    )
+    b = helpers.make_constellation(
+        [(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi)) for _ in range(count)]
+    )
+    expected = helpers.cross_product_angles(to_cartesian(a), to_cartesian(b))
+    np.testing.assert_array_equal(geometry._match(a, b)[1], expected)
+    i, j = rng.integers(count, size=(2, 8))
+    got = [geodesic_distance(a.points[k], b.points[m]) for k, m in zip(i, j)]
+    np.testing.assert_array_equal(got, expected[i, j])
 
 
 def test_phi_just_below_zero_wraps_to_zero():

@@ -205,6 +205,14 @@ def test_sqrt_binomials_square_to_exact_binomials(n):
         assert math.isclose(s * s, math.comb(n, k), rel_tol=4 * np.finfo(float).eps)
 
 
+def test_sqrt_binomials_row_is_cached_read_only():
+    row = sqrt_binomials(255)
+    assert sqrt_binomials(255) is row
+    with pytest.raises(ValueError):
+        row *= 2.0
+    assert math.isclose(row[1] ** 2, 255.0)
+
+
 def test_sqrt_binomials_stop_at_the_float64_limit():
     assert np.all(np.isfinite(sqrt_binomials(1029)))
     with pytest.raises(ValueError, match="2S <= 1029"):

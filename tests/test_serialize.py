@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stellar import (
+    BlochPoint,
+    Constellation,
     InputFormatError,
+    SeparabilityVerdict,
+    SeparableFactorization,
     constellation_from_json,
     constellation_to_json,
     decide_separability,
@@ -167,3 +172,69 @@ def test_verdict_json_for_entangled_state():
     assert doc["separable"] is False
     assert doc["factors"] is None
     assert doc["residual"] == pytest.approx(1.0)
+
+
+# floats the writers must spell as the standard library does: signed zero,
+# the smallest subnormal, the largest decades and whole numbers
+WIRE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+WRITER_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@WRITER_SETTINGS
+@given(st.lists(st.tuples(WIRE_FLOATS, WIRE_FLOATS), max_size=64))
+def test_constellation_writer_matches_json_dumps(pairs):
+    c = Constellation(tuple(BlochPoint(t, p) for t, p in pairs), len(pairs))
+    doc = {"expected_size": len(pairs), "points": [{"theta": t, "phi": p} for t, p in pairs]}
+    assert constellation_to_json(c) == helpers.json_dumps_oracle(doc)
+
+
+@WRITER_SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(WIRE_FLOATS, WIRE_FLOATS), min_size=2**n, max_size=2**n)
+)))
+def test_state_writer_matches_json_dumps(drawn):
+    n, pairs = drawn
+    assume(any(re or im for re, im in pairs))
+    state = helpers.make_pure_state(n, [complex(re, im) for re, im in pairs])
+    doc = {"n_qubits": n, "amplitudes": [list(pair) for pair in pairs]}
+    assert state_to_json(state) == helpers.json_dumps_oracle(doc)
+
+
+@WRITER_SETTINGS
+@given(st.lists(st.tuples(*[WIRE_FLOATS] * 4), max_size=64), WIRE_FLOATS)
+def test_verdict_writer_matches_json_dumps(rows, residual):
+    factors = tuple((complex(a, b), complex(c, d)) for a, b, c, d in rows)
+    split = SeparableFactorization(factors, 1.0) if rows else None
+    verdict = SeparabilityVerdict(bool(rows), split, residual)
+    doc = {"separable": bool(rows), "factors": [list(r) for r in rows] or None,
+           "residual": residual}
+    assert verdict_to_json(verdict) == helpers.json_dumps_oracle(doc)
+
+
+def _state_holding(bad):
+    # PureState refuses non-finite amplitudes, so put one in past the check
+    state = helpers.balanced_product()
+    object.__setattr__(state, "amplitudes", np.array([1.0, complex(0.0, bad), 1.0, 1.0]))
+    return state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda bad: constellation_to_json(helpers.make_constellation([(1.0, 0.5), (0.2, bad)])),
+        lambda bad: state_to_json(_state_holding(bad)),
+        lambda bad: verdict_to_json(SeparabilityVerdict(False, None, bad)),
+        lambda bad: verdict_to_json(
+            SeparabilityVerdict(True, SeparableFactorization(((1.0, complex(bad, 0.0)),), 1.0), 0.0)
+        ),
+    ],
+    ids=["constellation", "state", "verdict-residual", "verdict-factor"],
+)
+def test_writers_refuse_non_finite(write, bad):
+    with pytest.raises(ValueError):
+        write(bad)

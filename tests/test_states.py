@@ -201,6 +201,25 @@ def test_ray_helpers_reject_zero_vectors(helper, pair):
         helper(*pair)
 
 
+# unscaled, <a|a><b|b> underflows to 0 at 1e-170 and overflows to inf at 1e160
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_rays_equal_far_from_unit_size(scale):
+    assert not rays_equal([scale, 0], [0, scale])
+    assert rays_equal([scale, 1j * scale], [-scale, -1j * scale])
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ([1e-170, 0], [0, 1e-170], 0.0),
+        ([1e160, 0], [1e160, 1e160], 0.5),
+        ([1e-170, 0], [1e-170, 1e-170], 0.5),
+    ],
+)
+def test_ray_fidelity_far_from_unit_size(a, b, expected):
+    assert ray_fidelity(a, b) == pytest.approx(expected, abs=1e-15)
+
+
 def test_ray_helpers_reject_shape_mismatch():
     with pytest.raises(ValueError):
         ray_fidelity([1, 0], [1, 0, 0])
