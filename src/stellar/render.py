@@ -9,6 +9,7 @@ fixed-precision coordinates, no timestamps, no randomness.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.projection not in ("front", "top"):
             raise ValueError(f"unknown projection {self.projection!r}")
-        if self.size_px < _MIN_SIZE:
-            raise ValueError(f"size_px must be at least {_MIN_SIZE}")
+        if not _MIN_SIZE <= self.size_px <= sys.float_info.max:  # geometry is float64
+            raise ValueError(f"size_px must be at least {_MIN_SIZE} and within float64 range")
         if not 0 < self.point_radius_px < np.inf:
             raise ValueError("point_radius_px must be positive and finite")
 

@@ -12,11 +12,11 @@ The small-d matrix is I + W diag(expm1(-i beta m)) W^H, W the eigenvectors of
 S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
 computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
-rotate_spin multiplies a spin state's ascending amplitude vector by this
-matrix as stored, applied in that factored form at O((2S)^2) cost and never
-formed. Under that action the Majorana points move rigidly by
-so3_matrix(angles) = Rz(-alpha) Ry(beta) Rz(-gamma); the z-angle signs are
-tied to the qubit-component convention above and are pinned by tests.
+At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
+rotate_spin applies it to a state, never forming the matrix; wigner_small_d
+applies it to the identity, at twice one dense product's cost. Under
+rotate_spin the Majorana points move rigidly by so3_matrix(angles) =
+Rz(-alpha) Ry(beta) Rz(-gamma); tests pin the z signs to the qubit convention.
 """
 
 from __future__ import annotations
@@ -73,10 +73,15 @@ def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     if two_S == 1:  # every per-qubit rotation: exact to the rounding of cos and sin
         c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
         return np.array([[c, -s], [s, c]])
+    return _small_d_times(two_S, beta, np.eye(two_S + 1))
+
+
+def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
+    """d^S(beta) @ x for real columns x at 2S > 1, never forming d."""
     w = _sy_eigenvectors(two_S)
     m = np.arange(two_S + 1) - 0.5 * two_S
-    # I + W diag(expm1) W^H, not W diag(exp) W^H, so beta = 0 gives I exactly
-    return np.eye(two_S + 1) + ((w * np.expm1(-1j * beta * m)) @ w.conj().T).real
+    # expm1, not exp, so beta = 0 gives x exactly; W^H x = conj(W^T x) as x is real
+    return x + (w @ (np.expm1(-1j * beta * m)[:, None] * (w.T @ x).conj())).real
 
 
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
@@ -95,10 +100,9 @@ def rotate_spin(state: SpinState, angles: EulerAngles) -> SpinState:
         return SpinState(1, wigner_D(1, angles) @ state.amplitudes)
     alpha, beta, gamma = angles
     m = 0.5 * (two_S - 2.0 * np.arange(two_S + 1))
-    w = _sy_eigenvectors(two_S)
-    # d is real: Re and Im go through as two real columns x, W^H x = conj(W^T x)
+    # d is real: Re and Im go through as two real columns
     x = (np.exp(-1j * gamma * m) * state.amplitudes).view(float).reshape(-1, 2)
-    y = x + (w @ (np.expm1(-1j * beta * m[::-1])[:, None] * (w.T @ x).conj())).real
+    y = _small_d_times(two_S, beta, x)
     return SpinState(two_S, np.exp(-1j * alpha * m) * y.view(complex)[:, 0])
 
 

@@ -105,11 +105,11 @@ def state_from_json(text: str) -> PureState:
         raise InputFormatError(f"missing state field: {exc}") from exc
     if not isinstance(raw, list):
         raise InputFormatError("amplitudes must be a list of [re, im] pairs")
-    amps = np.empty(len(raw), dtype=complex)
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputFormatError(f"amplitude {i} must be a [re, im] pair")
-        amps[i] = complex(_float(pair[0]), _float(pair[1]))
+    # the numbers ahead of the first item that is not a pair are checked first
+    bad = next((i for i, p in enumerate(raw) if not isinstance(p, list) or len(p) != 2), None)
+    amps = np.array([_float(v) for pair in raw[:bad] for v in pair], dtype=float).view(complex)
+    if bad is not None:
+        raise InputFormatError(f"amplitude {bad} must be a [re, im] pair")
     try:
         return make_pure_state(n, amps)
     except ValueError as exc:

@@ -255,8 +255,9 @@ BIG = "1" + "0" * 400
         (["render"], '{"expected_size": 1, "points": [{"theta": 1.0, "phi": ' + BIG + "}]}"),
         (["render", "--point-radius", "inf"], '{"expected_size": 1, ' + ONE_POINT + "}"),
         (["render", "--point-radius", "1e400"], '{"expected_size": 1, ' + ONE_POINT + "}"),
+        (["render", "--size", BIG], '{"expected_size": 1, ' + ONE_POINT + "}"),
     ],
-    ids=["amplitude", "amplitude-imag", "angle", "radius-inf", "radius-1e400"],
+    ids=["amplitude", "amplitude-imag", "angle", "radius-inf", "radius-1e400", "size-1e400"],
 )
 def test_numbers_beyond_float64_exit_two(tmp_path, capsys, argv, text):
     path = tmp_path / "doc.json"

@@ -85,6 +85,17 @@ def test_small_d_matches_factorial_sum(two_S):
         )
 
 
+@pytest.mark.parametrize("two_S", [31, 255, 1023])
+def test_small_d_group_law_at_large_spin(two_S):
+    # error model: with W orthonormal, each computed d is within about n eps of the
+    # exact one (Higham's gamma_n for its n-term sums), and d1 @ d2 adds one more sum
+    n, eps = two_S + 1, np.finfo(float).eps
+    b1, b2 = np.random.default_rng(70 + two_S).uniform(-np.pi, np.pi, 2)
+    d1, d2 = wigner_small_d(two_S, b1), wigner_small_d(two_S, b2)
+    assert np.max(np.abs(d1 @ d2 - wigner_small_d(two_S, b1 + b2))) <= 4 * n * eps
+    assert np.max(np.abs(d1.T - wigner_small_d(two_S, -b1))) <= 2 * n * eps
+
+
 @pytest.mark.parametrize("two_S", [2, 3])
 def test_composition_up_to_global_sign(two_S):
     rng = np.random.default_rng(58)

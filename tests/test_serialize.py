@@ -97,6 +97,27 @@ def test_state_from_json_rejects_malformed(text):
         state_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ('[[1, 0], [0], ["x", 0]]', "amplitude 1 must be a [re, im] pair"),
+        ('[[0], ["x", 0]]', "amplitude 0 must be a [re, im] pair"),
+        ('[[1, 0], [1, 2, 3]]', "amplitude 1 must be a [re, im] pair"),
+        ('[[1, 0], "ab"]', "amplitude 1 must be a [re, im] pair"),
+        ('[[1, 0], {"re": 1, "im": 0}]', "amplitude 1 must be a [re, im] pair"),
+        ('[[1, 0], 7, ["x", 0]]', "amplitude 1 must be a [re, im] pair"),
+        # a bad number ahead of the first item that is not a pair is named first
+        ('[["x", 0], [0]]', "expected a finite JSON number, got 'x'"),
+        ('[[1, 0], [0, true], 5]', "expected a finite JSON number, got True"),
+        ('[[1, NaN], [0, "y"]]', "expected a finite JSON number, got nan"),
+    ],
+)
+def test_state_from_json_names_the_first_malformed_item(amplitudes, message):
+    with pytest.raises(InputFormatError) as info:
+        state_from_json('{"n_qubits": 1, "amplitudes": ' + amplitudes + "}")
+    assert str(info.value) == message
+
+
 def test_constellation_round_trip_is_bit_exact():
     rng = np.random.default_rng(82)
     pts = [
