@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for malformed input or flags, 3 when the root
 finder cannot converge. All output is deterministic; running a command twice
-on the same input yields byte-identical bytes.
+on the same input yields byte-identical bytes. Each cmd_* returns its stdout
+document, and main is the one writer of stdout.
 """
 
 from __future__ import annotations
@@ -65,15 +66,13 @@ def _constellation_for(state: PureState, encoding: str, tol: float):
     return alt_constellation(state, tol)
 
 
-def cmd_points(args) -> int:
+def cmd_points(args) -> str:
     tol = _check_tol(args.tol)
     state = state_from_json(_read_text(args.state))
-    constellation = _constellation_for(state, args.encoding, tol)
-    sys.stdout.write(constellation_to_json(constellation))
-    return 0
+    return constellation_to_json(_constellation_for(state, args.encoding, tol))
 
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> str:
     state = state_from_json(_read_text(args.state))
     if args.mode == "spin" and args.angles_per_qubit is not None:
         raise InputFormatError("--angles-per-qubit only applies to --mode qubits")
@@ -81,26 +80,22 @@ def cmd_rotate(args) -> int:
         raise InputFormatError(
             "give --angles, or --angles-per-qubit in qubits mode, but not both"
         )
-    if args.angles_per_qubit is not None:
-        parts = args.angles_per_qubit.split(";")
-        rotated = rotate_qubits(state, [_parse_triple(p, args.degrees) for p in parts])
-    elif args.mode == "spin":
+    if args.mode == "spin":
         triple = _parse_triple(args.angles, args.degrees)
-        rotated = qubits_from_spin(rotate_spin(spin_from_qubits(state), triple))
+        return state_to_json(qubits_from_spin(rotate_spin(spin_from_qubits(state), triple)))
+    if args.angles_per_qubit is None:  # --angles T is --angles-per-qubit "T;...;T"
+        triples = [_parse_triple(args.angles, args.degrees)] * state.n_qubits
     else:
-        rotated = rotate_qubits_uniform(state, _parse_triple(args.angles, args.degrees))
-    sys.stdout.write(state_to_json(rotated))
-    return 0
+        triples = [_parse_triple(p, args.degrees) for p in args.angles_per_qubit.split(";")]
+    return state_to_json(rotate_qubits(state, triples))
 
 
-def cmd_check_sep(args) -> int:
+def cmd_check_sep(args) -> str:
     tol = _check_tol(args.tol)
-    verdict = decide_separability(state_from_json(_read_text(args.state)), tol)
-    sys.stdout.write(verdict_to_json(verdict))
-    return 0
+    return verdict_to_json(decide_separability(state_from_json(_read_text(args.state)), tol))
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> str:
     constellation = constellation_from_json(_read_text(args.constellation))
     spec = RenderSpec(
         projection=args.projection,
@@ -108,8 +103,7 @@ def cmd_render(args) -> int:
         show_axes=args.axes,
         point_radius_px=args.point_radius,
     )
-    sys.stdout.write(render_svg(constellation, spec))
-    return 0
+    return render_svg(constellation, spec)
 
 
 def _demo_states() -> list[tuple[str, str, PureState]]:
@@ -128,15 +122,15 @@ def _demo_states() -> list[tuple[str, str, PureState]]:
     ]
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> str:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = RenderSpec(projection="front", size_px=480, show_axes=True)
     summary: list[str] = []
-    verdicts: dict[str, bool] = {}
+    words: dict[str, str] = {}
     states = _demo_states()
     for label, describing, state in states:
-        verdicts[label] = decide_separability(state).separable
+        words[label] = "separable" if decide_separability(state).separable else "entangled"
         for row, encoding in (("1", "majorana"), ("2", "alt")):
             constellation = _constellation_for(state, encoding, DEFAULT_ROOT_TOL)
             name = f"figure-{row}{label}.svg"
@@ -149,18 +143,16 @@ def cmd_demo(args) -> int:
             summary.append(f"    {pts}")
     summary.append("")
     for label, describing, _state in states:
-        word = "separable" if verdicts[label] else "entangled"
-        summary.append(f"({label}) {describing}: {word}")
-    sep_labels = sorted(k for k, v in verdicts.items() if v)
-    ent_labels = sorted(k for k, v in verdicts.items() if not v)
+        summary.append(f"({label}) {describing}: {words[label]}")
     summary.append(
-        f"separable states: ({'), ('.join(sep_labels)}); "
-        f"entangled states: ({'), ('.join(ent_labels)})"
+        "; ".join(
+            f"{word} states: ({'), ('.join(k for k in sorted(words) if words[k] == word)})"
+            for word in ("separable", "entangled")
+        )
     )
     text = "\n".join(summary) + "\n"
     (out / "summary.txt").write_text(text)
-    sys.stdout.write(text)
-    return 0
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
+        return 0
     except RootFindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,15 +33,15 @@ class Constellation:
     """Multiset of sphere points; expected_size tracks 2S or 2^N - 1.
 
     The points are stored as read-only float64 arrays thetas and phis. The
-    tuple of BlochPoints in .points is built from them on first access and
-    cached; one built from BlochPoints keeps the tuple it was given.
+    tuple of BlochPoints in .points is built from those arrays only, on first
+    access, and cached; so its angles are floats even where the BlochPoints
+    given to the constructor held ints.
     """
 
     def __init__(self, points, expected_size: int):
         points = tuple(points)
         thetas = np.array([p.theta for p in points], dtype=float)
         self._store(thetas, np.array([p.phi for p in points], dtype=float), expected_size)
-        self.__dict__["_points"] = points
 
     @classmethod
     def _of(cls, thetas: np.ndarray, phis: np.ndarray, expected_size: int) -> Constellation:

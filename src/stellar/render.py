@@ -48,13 +48,6 @@ def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
     size = spec.size_px
     cx = cy = size / 2.0
     radius = size / 2.0 - max(8.0, 0.06 * size)
-
-    def px(u: float) -> str:
-        return _fmt(cx + u * radius)
-
-    def py(v: float) -> str:
-        return _fmt(cy - v * radius)
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
         f'width="{size}" height="{size}">',
@@ -63,11 +56,10 @@ def render_svg(constellation: Constellation, spec: RenderSpec) -> str:
         f'fill="#eef3f8" stroke="#444444" stroke-width="1.5"/>',
     ]
     if spec.show_axes:
-        # principal great circles project onto the two screen diameters
-        for x1, y1, x2, y2 in (
-            (px(-1.0), py(0.0), px(1.0), py(0.0)),
-            (px(0.0), py(-1.0), px(0.0), py(1.0)),
-        ):
+        # principal great circles project onto the two screen diameters; as
+        # cx == cy, screen y of v, cy - v * radius, is screen x of t = -v to the bit
+        lo, mid, hi = (_fmt(cx + t * radius) for t in (-1.0, 0.0, 1.0))
+        for x1, y1, x2, y2 in ((lo, mid, hi, mid), (mid, hi, mid, lo)):
             lines.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#99aabb" stroke-width="1" stroke-dasharray="5,4"/>'

@@ -126,11 +126,9 @@ def rotate_qubits_uniform(state: PureState, angles: EulerAngles) -> PureState:
 
 
 def rotate_separable_components(a: complex, b: complex, angles: EulerAngles):
-    """Spin-1/2 rotation of one qubit factor a|0> + b|1> by wigner_D(1, angles)."""
-    if a == 0 and b == 0:
-        raise ValueError("zero spinor has no direction")
-    a2, b2 = wigner_D(1, angles) @ np.array([a, b], dtype=complex)
-    return complex(a2), complex(b2)
+    """Spin-1/2 rotation of one qubit factor a|0> + b|1>: rotate_spin on the
+    spin-1/2 state (a, b), which refuses a zero or non-finite pair."""
+    return tuple(rotate_spin(SpinState(1, [a, b]), angles).amplitudes.tolist())
 
 
 def _rz(t: float) -> np.ndarray:

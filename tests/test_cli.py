@@ -140,6 +140,15 @@ def test_rotate_per_qubit_angles(tmp_path, capsys, product_pair):
     np.testing.assert_allclose(amps, [0, np.sqrt(2), 0, np.sqrt(2)], atol=1e-12)
 
 
+@pytest.mark.parametrize("angles, degrees", [("0.3,1.1,2.0", []), ("30,100,-45", ["--degrees"])])
+def test_rotate_qubits_angles_is_the_same_triple_on_every_qubit(tmp_path, capsys, angles, degrees):
+    path = write_state(tmp_path, helpers.random_state(np.random.default_rng(73), 3))
+    base = ["rotate", path, "--mode", "qubits"] + degrees
+    uniform = run(capsys, base + ["--angles", angles])
+    per_qubit = run(capsys, base + ["--angles-per-qubit", ";".join([angles] * 3)])
+    assert uniform == per_qubit and uniform[0] == 0 and uniform[1]
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -63,6 +63,18 @@ def test_points_built_from_arrays_round_trip_exactly(count):
     assert back.points == c.points
 
 
+def test_points_come_from_the_arrays_even_when_built_from_int_angles():
+    c = Constellation((BlochPoint(0, 0), BlochPoint(1, 2)), 2)
+    assert c.points == (BlochPoint(0.0, 0.0), BlochPoint(1.0, 2.0))
+    assert [p.theta for p in c.points] == c.thetas.tolist()
+    assert [p.phi for p in c.points] == c.phis.tolist()
+    assert all(type(x) is float for p in c.points for x in (p.theta, p.phi))
+    assert repr(c) == (
+        "Constellation(points=(BlochPoint(theta=0.0, phi=0.0), "
+        "BlochPoint(theta=1.0, phi=2.0)), expected_size=2)"
+    )
+
+
 def test_constellation_equality_and_hash_follow_points():
     arrays = points_from_roots([2.0j, -1.0, 0.0], 1, 4)
     pts = arrays.points

@@ -110,6 +110,10 @@ def test_state_from_json_rejects_malformed(text):
         ('[["x", 0], [0]]', "expected a finite JSON number, got 'x'"),
         ('[[1, 0], [0, true], 5]', "expected a finite JSON number, got True"),
         ('[[1, NaN], [0, "y"]]', "expected a finite JSON number, got nan"),
+        # amplitudes that is not a list at all
+        ("5", "amplitudes must be a list of [re, im] pairs"),
+        ('"ab"', "amplitudes must be a list of [re, im] pairs"),
+        ('{"re": 1}', "amplitudes must be a list of [re, im] pairs"),
     ],
 )
 def test_state_from_json_names_the_first_malformed_item(amplitudes, message):
