@@ -59,7 +59,7 @@ class SeparabilityVerdict:
 
 def alt_polynomial(state: PureState) -> ComplexPolynomial:
     """P(x) = sum_i C_i x^i with the decimal amplitudes as coefficients."""
-    return ComplexPolynomial(state.amplitudes.copy())
+    return ComplexPolynomial(state.amplitudes)
 
 
 def _canonical_phase(vec: np.ndarray) -> tuple[np.ndarray, complex]:
@@ -79,7 +79,7 @@ def decide_separability(
     tol. The worst ratio seen is reported; for an entangled state that is
     the ratio at the failing cut.
     """
-    vec = state.amplitudes.copy()
+    vec = state.amplitudes
     factors: list[tuple[complex, complex]] = []
     worst = 0.0
     for _ in range(state.n_qubits - 1):

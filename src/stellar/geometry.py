@@ -22,7 +22,7 @@ __all__ = [
 class BlochPoint:
     """Sphere point with polar angle theta in [0, pi], azimuth phi in [0, 2pi).
 
-    Poles are canonical: theta exactly 0 or pi forces phi = 0.
+    Taken as given; bloch_point and library outputs set phi = 0 at theta 0 or pi.
     """
 
     theta: float

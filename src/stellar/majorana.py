@@ -65,7 +65,7 @@ def sqrt_binomials(n: int) -> np.ndarray:
     return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MajoranaPolynomial(ComplexPolynomial):
     """A Majorana polynomial that keeps the amplitudes its ends are judged on."""
 

@@ -49,14 +49,15 @@ DEFAULT_ROOT_TOL = 1e-12
 _MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
     """p(x) = sum_k coefficients[k] x^k, low order first."""
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        c = np.array(self.coefficients, dtype=complex, ndmin=1)
+        c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
         if c.ndim != 1 or c.shape[0] < 1:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
@@ -74,7 +75,7 @@ class ComplexPolynomial:
         return np.abs(self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootResult:
     """Roots with multiplicity plus deflation bookkeeping.
 
@@ -153,9 +154,9 @@ def _horner(coeffs: np.ndarray, x: np.ndarray):
     # column 0 holds p's coefficients, column 1 q's, both highest order first
     orders = np.array([coeffs[::-1], coeffs]).T
     columns = big.astype(np.intp)
-    table, moduli = orders[:, columns], np.abs(orders)[:, columns]
-    v, d, s, az = table[0].copy(), np.zeros_like(z), moduli[0], np.abs(z)
-    for row, mod in zip(table[1:], moduli[1:]):
+    table, moduli = orders[1:, columns], np.abs(orders)[:, columns]
+    v, d, s, az = orders[0, columns], np.zeros_like(z), moduli[0], np.abs(z)
+    for row, mod in zip(table, moduli[1:]):
         d *= z
         d += v
         v *= z

@@ -39,19 +39,20 @@ DEFAULT_RAY_TOL = 1e-10
 
 
 def _set_amplitudes(state, fits, expected: str) -> None:
-    """Store state.amplitudes as a complex vector: a length that fits, finite,
-    not all zero; expected describes the length in the error."""
-    amps = np.asarray(state.amplitudes, dtype=complex)
+    """Store a read-only complex copy of state.amplitudes: a length that fits,
+    finite, not all zero; expected describes the length in the error."""
+    amps = np.array(state.amplitudes, dtype=complex)
     if amps.ndim != 1 or not fits(amps.shape[0]):
         raise ValueError(f"expected {expected}, got shape {amps.shape}")
     if not np.all(np.isfinite(amps)):
         raise ValueError("state vector has a non-finite amplitude")
     if not np.any(np.abs(amps) > 0):
         raise ValueError("state vector is identically zero")
+    amps.flags.writeable = False
     object.__setattr__(state, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unnormalized N-qubit pure state in the decimal basis ordering."""
 
@@ -67,7 +68,7 @@ class PureState:
         _set_amplitudes(self, fits, f"2^{n} amplitudes for {n} qubits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinState:
     """Unnormalized spin-S pure state; amplitudes[m] sits at M = m - S.
 
@@ -101,7 +102,7 @@ class BasisLabel:
 
 def make_pure_state(n_qubits: int, amplitudes) -> PureState:
     """Validate and wrap a dense amplitude vector as an N-qubit state."""
-    return PureState(n_qubits, np.asarray(amplitudes, dtype=complex))
+    return PureState(n_qubits, amplitudes)
 
 
 def decimal_index(label: BasisLabel) -> int:
@@ -139,7 +140,7 @@ def spin_from_qubits(state: PureState) -> SpinState:
     The decimal basis ket |i> is identified with |S, M = i - S>, so the
     amplitude vector carries over unchanged and |0...0> sits at M = -S.
     """
-    return SpinState(2**state.n_qubits - 1, state.amplitudes.copy())
+    return SpinState(2**state.n_qubits - 1, state.amplitudes)
 
 
 def qubits_from_spin(spin: SpinState) -> PureState:
@@ -148,7 +149,7 @@ def qubits_from_spin(spin: SpinState) -> PureState:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"spin dimension {dim} is not a power of two")
-    return PureState(n, spin.amplitudes.copy())
+    return PureState(n, spin.amplitudes)
 
 
 def _overlap_terms(a, b):
@@ -158,6 +159,8 @@ def _overlap_terms(a, b):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("state vector has a non-finite amplitude")
     if not (np.any(a) and np.any(b)):
         raise ValueError("state vector is identically zero")
     a, b = a / np.abs(a).max(), b / np.abs(b).max()

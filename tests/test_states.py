@@ -3,10 +3,13 @@ import pytest
 
 from stellar import (
     BasisLabel,
+    ComplexPolynomial,
     PureState,
     SpinState,
     decimal_index,
+    find_roots,
     label_from_index,
+    majorana_polynomial,
     make_pure_state,
     qubits_from_spin,
     ray_fidelity,
@@ -195,9 +198,20 @@ def test_ray_fidelity_orthogonal_is_zero():
 
 
 @pytest.mark.parametrize("helper", [ray_fidelity, rays_equal])
-@pytest.mark.parametrize("pair", [([0, 0], [1, 0]), ([1j, 2], [0, 0])], ids=["a", "b"])
-def test_ray_helpers_reject_zero_vectors(helper, pair):
-    with pytest.raises(ValueError, match="identically zero"):
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (([0, 0], [1, 0]), "identically zero"),
+        (([1j, 2], [0, 0]), "identically zero"),
+        (([np.nan, 1], [1, 1]), "non-finite"),
+        (([1, 1], [1j, np.nan]), "non-finite"),
+        (([np.inf, 1], [1, 1]), "non-finite"),
+        (([1, 1], [1, -np.inf]), "non-finite"),
+    ],
+    ids=["a", "b", "nan-a", "nan-b", "inf-a", "inf-b"],
+)
+def test_ray_helpers_reject_zero_vectors(helper, pair, message):
+    with pytest.raises(ValueError, match=message):
         helper(*pair)
 
 
@@ -223,3 +237,38 @@ def test_ray_fidelity_far_from_unit_size(a, b, expected):
 def test_ray_helpers_reject_shape_mismatch():
     with pytest.raises(ValueError):
         ray_fidelity([1, 0], [1, 0, 0])
+
+
+# each entry builds an object from one caller-owned array, and lists the arrays it holds
+HOLDERS = {
+    "PureState": (lambda a: PureState(2, a), lambda o: [o.amplitudes]),
+    "SpinState": (lambda a: SpinState(3, a), lambda o: [o.amplitudes]),
+    "ComplexPolynomial": (ComplexPolynomial, lambda o: [o.coefficients]),
+    "majorana_polynomial": (
+        lambda a: majorana_polynomial(SpinState(3, a)),
+        lambda o: [o.coefficients, o.amplitudes],
+    ),
+}
+
+
+@pytest.mark.parametrize("build, held", HOLDERS.values(), ids=HOLDERS.keys())
+def test_array_holders_own_a_read_only_copy_and_compare_by_identity(build, held):
+    source = np.array([1, 2j, -3, 4], dtype=complex)
+    obj = build(source)
+    kept = [array.copy() for array in held(obj)]
+    source[:] = 0
+    for array, expected in zip(held(obj), kept):
+        np.testing.assert_array_equal(array, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+    # states are rays, compared with rays_equal; == is identity and never raises
+    twin = build(np.array([1, 2j, -3, 4], dtype=complex))
+    assert obj == obj and (obj == twin) is False
+    assert isinstance(hash(obj), int) and isinstance(hash(twin), int)
+
+
+def test_root_results_compare_by_identity():
+    p = ComplexPolynomial([1, 0, -1])
+    first, second = find_roots(p), find_roots(p)
+    assert first == first and (first == second) is False
+    assert isinstance(hash(first), int)
