@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,42 +33,39 @@ class BlochPoint:
 class Constellation:
     """Multiset of sphere points; expected_size tracks 2S or 2^N - 1.
 
-    The points are stored as read-only float64 arrays thetas and phis. The
-    tuple of BlochPoints in .points is built from those arrays only, on first
-    access, and cached; so its angles are floats even where the BlochPoints
-    given to the constructor held ints.
+    The points are stored as read-only float64 copies, thetas and phis, that no
+    caller shares. The tuple of BlochPoints in .points is built from those
+    arrays only, on first access, and cached; so its angles are floats even
+    where the BlochPoints given to the constructor held ints.
     """
 
     def __init__(self, points, expected_size: int):
         points = tuple(points)
-        thetas = np.array([p.theta for p in points], dtype=float)
-        self._store(thetas, np.array([p.phi for p in points], dtype=float), expected_size)
+        self._store([p.theta for p in points], [p.phi for p in points], expected_size)
 
     @classmethod
-    def _of(cls, thetas: np.ndarray, phis: np.ndarray, expected_size: int) -> Constellation:
-        """Wrap two float64 angle arrays as they are, without BlochPoints."""
+    def _of(cls, thetas, phis, expected_size: int) -> Constellation:
+        """Build from copies of two angle sequences, without BlochPoints."""
         c = cls.__new__(cls)
         c._store(thetas, phis, expected_size)
         return c
 
-    def _store(self, thetas: np.ndarray, phis: np.ndarray, expected_size: int) -> None:
+    def _store(self, thetas, phis, expected_size: int) -> None:
+        thetas, phis = np.array(thetas, dtype=float), np.array(phis, dtype=float)
         if thetas.size != expected_size:
             raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
         thetas.flags.writeable = phis.flags.writeable = False
-        self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size, _points=None)
+        self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Constellation is read-only: cannot set {name!r}")
 
-    def __reduce__(self):  # copies and unpickled ones get read-only arrays too
+    def __reduce__(self):  # copies and unpickled ones are rebuilt by _store
         return Constellation._of, (self.thetas, self.phis, self.expected_size)
 
-    @property
+    @cached_property
     def points(self) -> tuple[BlochPoint, ...]:
-        if self._points is None:
-            points = tuple(map(BlochPoint, self.thetas.tolist(), self.phis.tolist()))
-            self.__dict__["_points"] = points
-        return self._points
+        return tuple(map(BlochPoint, self.thetas.tolist(), self.phis.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Constellation):

@@ -74,6 +74,9 @@ class _MajoranaPolynomial(ComplexPolynomial):
     def _deflation_sizes(self) -> np.ndarray:
         return np.abs(self.amplitudes)
 
+    def __reduce__(self):  # rebuilt from a checked state, so both arrays are read-only
+        return majorana_polynomial, (SpinState(self.nominal_degree, self.amplitudes),)
+
 
 def majorana_polynomial(state: SpinState) -> ComplexPolynomial:
     """Coefficients sqrt(binom(2S, m)) * amplitudes[m], low order first. Its

@@ -66,6 +66,9 @@ class ComplexPolynomial:
         if not np.any(np.abs(c) > 0):
             raise ValueError("the zero polynomial has no well-defined roots")
 
+    def __reduce__(self):  # copies and unpickled ones are rebuilt, so checked and read-only
+        return ComplexPolynomial, (self.coefficients,)
+
     @property
     def nominal_degree(self) -> int:
         return self.coefficients.shape[0] - 1

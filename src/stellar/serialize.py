@@ -132,7 +132,7 @@ def constellation_from_json(text: str) -> Constellation:
         angles = [(_float(p["theta"]), _float(p["phi"])) for p in doc["points"]]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing or malformed constellation field: {exc}") from exc
-    thetas, phis = np.array(angles, dtype=float).reshape(-1, 2).T.copy()
+    thetas, phis = np.array(angles, dtype=float).reshape(-1, 2).T
     try:
         return Constellation._of(thetas, phis, size)
     except ValueError as exc:

@@ -67,6 +67,9 @@ class PureState:
         fits = lambda m: n < m.bit_length() and m == 2**n
         _set_amplitudes(self, fits, f"2^{n} amplitudes for {n} qubits")
 
+    def __reduce__(self):  # copies and unpickled states are rebuilt, so checked and read-only
+        return PureState, (self.n_qubits, self.amplitudes)
+
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
@@ -83,6 +86,9 @@ class SpinState:
             raise ValueError("two_S must be a positive integer")
         size = self.two_S + 1
         _set_amplitudes(self, lambda m: m == size, f"{size} amplitudes for two_S={self.two_S}")
+
+    def __reduce__(self):  # copies and unpickled states are rebuilt, so checked and read-only
+        return SpinState, (self.two_S, self.amplitudes)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from stellar import (
     BasisLabel,
+    BlochPoint,
     ComplexPolynomial,
+    Constellation,
     PureState,
     SpinState,
+    alt_constellation,
+    constellation_from_json,
     decimal_index,
     find_roots,
     label_from_index,
@@ -265,6 +272,47 @@ def test_array_holders_own_a_read_only_copy_and_compare_by_identity(build, held)
     twin = build(np.array([1, 2j, -3, 4], dtype=complex))
     assert obj == obj and (obj == twin) is False
     assert isinstance(hash(obj), int) and isinstance(hash(twin), int)
+
+
+TWO_POINTS = (
+    '{"expected_size": 2, "points": [{"theta": 1.0, "phi": 2.0}, {"theta": 0.5, "phi": 0.25}]}'
+)
+
+
+def _angles(constellation):
+    return [constellation.thetas, constellation.phis]
+
+
+# each array-holding value type, built by a call without arguments, and its held arrays
+REBUILT = {
+    name: (lambda build=build: build([1, 2j, -3, 4]), held)
+    for name, (build, held) in HOLDERS.items()
+}
+REBUILT.update(
+    Constellation=(lambda: Constellation((BlochPoint(1, 2), BlochPoint(0.5, 0.25)), 2), _angles),
+    alt_constellation=(lambda: alt_constellation(PureState(2, [1, 2j, -3, 4])), _angles),
+    constellation_from_json=(lambda: constellation_from_json(TWO_POINTS), _angles),
+)
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("build, held", REBUILT.values(), ids=REBUILT.keys())
+def test_copies_and_unpickled_objects_are_rebuilt_by_the_constructor(build, held, duplicate):
+    obj = build()
+    other = duplicate(obj)
+    assert type(other) is type(obj)
+    for original, array in zip(held(obj), held(other), strict=True):
+        # each is its holder's own read-only copy, a view of no other array
+        for own in (original, array):
+            assert not own.flags.writeable and own.base is None
+        assert array.dtype == original.dtype and array.shape == original.shape
+        assert array.tobytes() == original.tobytes()
 
 
 def test_root_results_compare_by_identity():
