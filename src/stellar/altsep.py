@@ -13,6 +13,7 @@ rank-1 singular-value test, never symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,44 +63,49 @@ def alt_polynomial(state: PureState) -> ComplexPolynomial:
     return ComplexPolynomial(state.amplitudes)
 
 
-def _canonical_phase(vec: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Rotate a vector so its largest-modulus entry is real positive."""
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    phase = pivot / abs(pivot)
-    return vec * np.conj(phase), phase
-
-
 def decide_separability(
     state: PureState, tol: float = DEFAULT_SEPARABILITY_TOL
 ) -> SeparabilityVerdict:
     """Tensor-product test by successive rank-1 peeling of each qubit.
 
-    Qubit j is split off by reshaping the remaining vector to 2 x 2^(rest)
-    and thresholding the ratio of its two largest singular values against
-    tol. The worst ratio seen is reported; for an entangled state that is
-    the ratio at the failing cut.
+    Qubit j is split off by reshaping the remaining vector to m x 2, column k
+    holding this qubit (the low bit) at k, and thresholding the ratio s1/s0
+    of its singular values against tol. The worst ratio seen is reported;
+    for an entangled state that is the ratio at the failing cut. Gram-Schmidt,
+    longer column r_p first, gives R = [[a, 0], [b, d]] with those singular
+    values, d the norm of the explicit residual, and R's SVD in closed form.
+    To first order in u = eps/2 (Higham 2002, ch. 3 and 19), a, |b| and d are
+    within (0.5m + 1.5)ua, (2.9m + 5.9)ua and (3.5m + 9.3)ua of exact, so by
+    Weyl (a <= s0) each singular value moves <= (4.6m + 11.1)u s0 and, with
+    14.5u from the closed form, |ratio - s1/s0| <= 5 (m + 4) eps.
     """
-    vec = state.amplitudes
+    # an exact power-of-two prescale keeps every sum finite
+    exponent = math.frexp(float(np.abs(state.amplitudes.view(float)).max()))[1]
+    vec = np.ldexp(state.amplitudes.view(float), -exponent).view(complex)
     factors: list[tuple[complex, complex]] = []
     worst = 0.0
-    for _ in range(state.n_qubits - 1):
-        # rows: this qubit (low bit of the current index); cols: the rest
-        matrix = vec.reshape(-1, 2).T
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        ratio = float(s[1] / s[0])
-        worst = max(worst, ratio)
-        if ratio > tol:
-            return SeparabilityVerdict(False, None, worst)
-        factor, phase = _canonical_phase(u[:, 0])
-        factors.append((complex(factor[0]), complex(factor[1])))
-        vec = s[0] * vh[0] * phase
-    last, phase = _canonical_phase(vec)
-    norm = float(np.linalg.norm(last))
-    factors.append((complex(last[0] / norm), complex(last[1] / norm)))
-    scale = norm * phase
-    return SeparabilityVerdict(
-        True, SeparableFactorization(tuple(factors), complex(scale)), worst
-    )
+    for _ in range(state.n_qubits):
+        cols = vec.reshape(-1, 2)
+        gram = np.einsum("ib,ic->bc", cols.conj(), cols).tolist()
+        p, q = (1, 0) if gram[1][1].real > gram[0][0].real else (0, 1)
+        a2 = gram[p][p].real
+        c = gram[p][q] / a2  # b = c a
+        e = (cols[:, q] - c * cols[:, p]).view(float)
+        a, d, bb = math.sqrt(a2), math.sqrt(np.einsum("i,i->", e, e)), abs(c) ** 2 * a2
+        # s0 s1 = ad, s0^2 + s1^2 = F = a^2 + |b|^2 + d^2; F -+ 2ad = (a -+ d)^2 + |b|^2
+        root = math.sqrt(((a - d) ** 2 + bb) * ((a + d) ** 2 + bb))
+        s0 = math.sqrt(0.5 * (a2 + bb + d * d + root))
+        s1 = a * d / s0
+        if len(cols) > 1:  # the last qubit is not a cut
+            worst = max(worst, s1 / s0)
+            if worst > tol:
+                return SeparabilityVerdict(False, None, worst)
+        top, low = complex(a2 - s1 * s1), c * a2  # s0's left vector at p and q
+        norm = math.hypot(top.real, low.real, low.imag)
+        factors.append((top / norm, low / norm) if p == 0 else (low / norm, top / norm))
+        vec = np.einsum("b,ib->i", np.conj(factors[-1]), cols)
+    scale = complex(math.ldexp(vec[0].real, exponent), math.ldexp(vec[0].imag, exponent))
+    return SeparabilityVerdict(True, SeparableFactorization(tuple(factors), scale), worst)
 
 
 def reconstruct_from_factors(f: SeparableFactorization) -> PureState:

@@ -12,6 +12,8 @@ The small-d matrix is I + W diag(expm1(-i beta m)) W^H, W the eigenvectors of
 S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
 computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
+At 2S = 1 rotate_qubits builds every matrix in one vectorised pass and applies
+each with one np.einsum, never through BLAS; rotate_spin there is that apply.
 At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
 rotate_spin applies it to a state, never forming the matrix; wigner_small_d
 applies it to the identity, at twice one dense product's cost. Under
@@ -70,9 +72,9 @@ def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     """Real small-d matrix d^S_{M'M}(beta), descending M order both ways."""
     if two_S < 1:
         raise ValueError("two_S must be a positive integer")
-    if two_S == 1:  # every per-qubit rotation: exact to the rounding of cos and sin
+    if two_S == 1:  # exact to the rounding of cos and sin; beta may be an array
         c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
-        return np.array([[c, -s], [s, c]])
+        return np.stack([c, -s, s, c], axis=-1).reshape(np.shape(beta) + (2, 2))
     return _small_d_times(two_S, beta, np.eye(two_S + 1))
 
 
@@ -92,13 +94,23 @@ def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
     return np.exp(-1j * alpha * m)[:, None] * d * np.exp(-1j * gamma * m)[None, :]
 
 
+def _spin_half(triples) -> np.ndarray:
+    """wigner_D(1, t) for each Euler triple t, as one (k, 2, 2) stack."""
+    try:
+        alpha, beta, gamma = (np.array(triples) * 1.0).reshape(len(triples), 3).T[..., None]
+    except ValueError as error:  # ragged or the wrong length; * 1.0 refuses non-numbers
+        raise TypeError("each Euler triple must be three numbers") from error
+    m, d = np.array([0.5, -0.5]), wigner_small_d(1, beta[:, 0])
+    return np.exp(-1j * alpha * m)[:, :, None] * d * np.exp(-1j * gamma * m)[:, None, :]
+
+
 def rotate_spin(state: SpinState, angles: EulerAngles) -> SpinState:
     """Amplitudes left-multiplied by wigner_D(two_S, angles), applied in the
     factored form of wigner_small_d; the matrix is never formed."""
     two_S = state.two_S
-    if two_S == 1:
-        return SpinState(1, wigner_D(1, angles) @ state.amplitudes)
     alpha, beta, gamma = angles
+    if two_S == 1:  # one qubit
+        return SpinState(1, rotate_qubits(PureState(1, state.amplitudes), [angles]).amplitudes)
     m = 0.5 * (two_S - 2.0 * np.arange(two_S + 1))
     # d is real: Re and Im go through as two real columns
     x = (np.exp(-1j * gamma * m) * state.amplitudes).view(float).reshape(-1, 2)
@@ -111,13 +123,11 @@ def rotate_qubits(state: PureState, per_qubit_angles: list[EulerAngles]) -> Pure
     n = state.n_qubits
     if len(per_qubit_angles) != n:
         raise ValueError(f"need {n} angle triples, got {len(per_qubit_angles)}")
-    # axis k of the reshaped tensor is qubit n-1-k (decimal order, bit 0 fastest)
-    tensor = state.amplitudes.reshape([2] * n)
-    for j, ang in enumerate(per_qubit_angles):
-        axis = n - 1 - j
-        u = wigner_D(1, EulerAngles(*ang))
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
-    return PureState(n, tensor.reshape(-1))
+    amplitudes = state.amplitudes
+    # turn the lowest bit, then move it to the top; n such steps turn bit j by triple j
+    for u in _spin_half(per_qubit_angles):
+        amplitudes = np.einsum("ab,ib->ai", u, amplitudes.reshape(-1, 2)).reshape(-1)
+    return PureState(n, amplitudes)
 
 
 def rotate_qubits_uniform(state: PureState, angles: EulerAngles) -> PureState:

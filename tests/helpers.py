@@ -11,9 +11,11 @@ points are built and read one point at a time with scalar arithmetic, and
 reference roots come from the companion matrix's eigenvalues with
 residuals and backward errors in extended precision, and a product state's
 roots from its per-qubit factors in mpmath at 200 bits, pairwise sphere
-angles from np.cross over (n, n, 3) arrays, and JSON text from the standard
-library's encoder, so agreement with the package is evidence rather than
-tautology.
+angles from np.cross over (n, n, 3) arrays, JSON text from the standard
+library's encoder, per-qubit rotations from one dense Kronecker product of
+the closed-form spin-1/2 matrices, the separability peel from LAPACK's SVD
+and a cut's singular-value ratio from its Gram matrix in 50-digit mpmath,
+so agreement with the package is evidence rather than tautology.
 """
 
 import itertools
@@ -25,7 +27,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from stellar import BlochPoint, Constellation, PureState, make_pure_state
+from stellar import (
+    BlochPoint,
+    Constellation,
+    PureState,
+    SeparabilityVerdict,
+    SeparableFactorization,
+    make_pure_state,
+)
 
 RT3 = math.sqrt(3.0)
 
@@ -277,6 +286,54 @@ def closed_form_spinor_rotation(a: complex, b: complex, angles):
     a2 = a * c * np.exp(-0.5j * (alpha + gamma)) - b * s * np.exp(0.5j * (gamma - alpha))
     b2 = a * s * np.exp(-0.5j * (gamma - alpha)) + b * c * np.exp(0.5j * (alpha + gamma))
     return complex(a2), complex(b2)
+
+
+def kronecker_qubit_rotation(amplitudes, triples) -> np.ndarray:
+    """Per-qubit rotation as one dense 2^n x 2^n product: the Kronecker product,
+    qubit n-1 leftmost, of the 2 x 2 matrices whose columns are the closed-form
+    rotations of |0> and |1>."""
+    full = np.ones((1, 1), dtype=complex)
+    for t in triples:
+        u = np.array([closed_form_spinor_rotation(1, 0, t), closed_form_spinor_rotation(0, 1, t)]).T
+        full = np.kron(u, full)
+    return full @ np.asarray(amplitudes, dtype=complex)
+
+
+def lapack_peel(state: PureState, tol: float) -> SeparabilityVerdict:
+    """Separability by rank-1 peeling with LAPACK's SVD of each 2 x 2^(rest) cut,
+    factors phased so that their largest component is real positive."""
+
+    def canonical(vec):
+        pivot = vec[int(np.argmax(np.abs(vec)))]
+        phase = pivot / abs(pivot)
+        return vec * np.conj(phase), phase
+
+    vec, factors, worst = state.amplitudes, [], 0.0
+    for _ in range(state.n_qubits - 1):
+        u, s, vh = np.linalg.svd(vec.reshape(-1, 2).T, full_matrices=False)
+        worst = max(worst, float(s[1] / s[0]))
+        if worst > tol:
+            return SeparabilityVerdict(False, None, worst)
+        factor, phase = canonical(u[:, 0])
+        factors.append((complex(factor[0]), complex(factor[1])))
+        vec = s[0] * vh[0] * phase
+    last, phase = canonical(vec)
+    norm = float(np.linalg.norm(last))
+    factors.append((complex(last[0] / norm), complex(last[1] / norm)))
+    return SeparabilityVerdict(True, SeparableFactorization(tuple(factors), norm * phase), worst)
+
+
+def mpmath_cut_ratio(amplitudes) -> float:
+    """s1/s0 of the first cut (columns: the amplitudes with bit 0 clear and
+    set) from the eigenvalues of its 2 x 2 Gram matrix in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(complex(x)) for x in amplitudes]
+        r0, r1 = z[0::2], z[1::2]
+        g00 = mpmath.fsum(abs(x) ** 2 for x in r0)
+        g11 = mpmath.fsum(abs(x) ** 2 for x in r1)
+        g01 = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(r0, r1))
+        gap = mpmath.sqrt((g00 - g11) ** 2 + 4 * abs(g01) ** 2)
+        return float(mpmath.sqrt(max(g00 + g11 - gap, 0) / (g00 + g11 + gap)))
 
 
 def expm_rotation(two_S: int, angles) -> np.ndarray:

@@ -21,6 +21,8 @@ from stellar import (
     tensor_product,
 )
 
+from stellar.altsep import DEFAULT_SEPARABILITY_TOL
+
 import helpers
 
 QUARTER = EulerAngles(*helpers.QUARTER_TURN_Y)
@@ -222,3 +224,53 @@ def test_separable_constellation_matches_per_qubit_oracle(n):
     c = separable_constellation(SeparableFactorization(tuple(factors), 1 + 0j))
     assert c.expected_size == 2**n - 1
     assert c.points == helpers.per_qubit_separable_points(factors)
+
+
+def separability_battery(n: int, seed: int) -> dict:
+    """Named n-qubit states around the separability threshold: Gaussian-factor
+    products, the same products perturbed by a relative delta, GHZ, W and a
+    Gaussian state, plus the Bell pair at n = 2."""
+    rng = np.random.default_rng(seed)
+    product = helpers.product_state(
+        rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    ).amplitudes
+    states = {"product": product}
+    for delta in (1e-12, 1e-9, 1e-6):
+        noise = helpers.random_amplitudes(rng, 2**n)
+        noise *= delta * np.linalg.norm(product) / np.linalg.norm(noise)
+        states[f"delta={delta:g}"] = product + noise
+    states.update(ghz=helpers.ghz(n).amplitudes, w=helpers.w_state(n).amplitudes)
+    states["gaussian"] = helpers.random_amplitudes(rng, 2**n)
+    if n == 2:
+        states["bell"] = helpers.bell_pair().amplitudes
+    return {name: PureState(n, amps) for name, amps in states.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_verdicts_agree_with_the_lapack_peel(n):
+    for seed in (800 + n, 900 + n):
+        for name, state in separability_battery(n, seed).items():
+            verdict = decide_separability(state)
+            oracle = helpers.lapack_peel(state, DEFAULT_SEPARABILITY_TOL)
+            assert verdict.separable == oracle.separable, (name, seed)
+            if verdict.separable:
+                # the factorization rebuilds the state, scale included
+                rebuilt = reconstruct_from_factors(verdict.factorization).amplitudes
+                assert ray_fidelity(rebuilt, state.amplitudes) >= 1 - 1e-9, (name, seed)
+                # each of the n - 1 cuts drops a singular value of at most tol s0
+                err = np.linalg.norm(rebuilt - state.amplitudes)
+                bound = n * DEFAULT_SEPARABILITY_TOL * np.linalg.norm(state.amplitudes)
+                assert err <= bound, (name, seed, err)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cut_ratio_is_within_the_documented_bound_of_a_50_digit_svd(n):
+    # tol < 0 stops at the first cut, so the reported ratio is that cut's;
+    # every later cut is the same computation on a shorter vector, which the
+    # smaller n cover
+    m, eps = 2 ** (n - 1), np.finfo(float).eps
+    for seed in (810 + n, 910 + n):
+        for name, state in separability_battery(n, seed).items():
+            ratio = decide_separability(state, tol=-1.0).worst_bipartite_residual
+            exact = helpers.mpmath_cut_ratio(state.amplitudes)
+            assert abs(ratio - exact) <= 5 * (m + 4) * eps, (name, seed, ratio, exact)

@@ -1,12 +1,14 @@
-"""points, render and demo bytes do not depend on OpenBLAS's kernel.
+"""CLI bytes do not depend on OpenBLAS's kernel, except rotate --mode spin at N >= 2.
 
 numpy's OpenBLAS picks its kernels by CPU at start-up, and
 OPENBLAS_CORETYPE overrides that choice for one process. The same calls run
 in two fresh interpreters, one with the machine's own kernel and one with
 Prescott's generic SSE3 kernels, which run on any x86-64 CPU, and every
-stdout and demo file must hash the same. rotate and check-sep are left out:
-their matrix products and factorizations go through BLAS, and their last
-bits do move with the kernel.
+stdout and demo file must hash the same. The calls are points, render and
+demo, and rotate --mode qubits, check-sep on entangled and product states
+and rotate --mode spin at N = 1. rotate --mode spin at N >= 2 (2S > 1) is
+left out: its eigh and matrix products go through LAPACK and BLAS, and
+their last bits do move with the kernel.
 """
 
 import json
@@ -30,12 +32,25 @@ import contextlib, hashlib, io, json, sys
 from pathlib import Path
 from stellar.cli import main
 
-calls = [
-    ["points", f"{sys.argv[1]}/state{n}.json", "--encoding", encoding]
-    for n in (2, 5, 8)
-    for encoding in ("majorana", "alt")
-]
-calls += [["render", "points.json", "--axes"], ["demo", "--out", "demo"]]
+inputs, group = sys.argv[1:]
+if group == "points":
+    calls = [
+        ["points", f"{inputs}/state{n}.json", "--encoding", encoding]
+        for n in (2, 5, 8)
+        for encoding in ("majorana", "alt")
+    ]
+    calls += [["render", "points.json", "--axes"], ["demo", "--out", "demo"]]
+else:
+    calls = [
+        ["rotate", f"{inputs}/state{n}.json", "--mode", "qubits", "--angles", "0.3,1.1,2.0"]
+        for n in (1, 2, 5, 8, 10)
+    ]
+    calls += [
+        ["check-sep", f"{inputs}/{kind}{n}.json"]
+        for n in (2, 5, 8, 10)
+        for kind in ("state", "product")
+    ]
+    calls += [["rotate", f"{inputs}/state1.json", "--mode", "spin", "--angles", "0.3,1.1,2.0"]]
 digests = {}
 for argv in calls:
     out = io.StringIO()
@@ -43,13 +58,13 @@ for argv in calls:
         assert main(argv) == 0, argv
     Path("points.json").write_text(out.getvalue())  # the input of the render call
     digests[" ".join(argv)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-for path in sorted(Path("demo").iterdir()):
+for path in sorted(Path("demo").glob("*")):
     digests[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
 print(json.dumps(digests))
 """
 
 
-def _digests(inputs: Path, work: Path, coretype: str | None) -> dict:
+def _digests(inputs: Path, work: Path, coretype: str | None, group: str) -> dict:
     src = str(Path(stellar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -58,7 +73,7 @@ def _digests(inputs: Path, work: Path, coretype: str | None) -> dict:
         env["OPENBLAS_CORETYPE"] = coretype
     work.mkdir()
     done = subprocess.run(
-        [sys.executable, "-c", _CALLS, str(inputs)],
+        [sys.executable, "-c", _CALLS, str(inputs), group],
         cwd=work,
         env=env,
         capture_output=True,
@@ -69,15 +84,32 @@ def _digests(inputs: Path, work: Path, coretype: str | None) -> dict:
     return json.loads(done.stdout)
 
 
-@pytest.mark.skipif(
+X86_64_ONLY = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="Prescott is an x86-64 OpenBLAS kernel",
 )
+
+
+@X86_64_ONLY
 def test_points_render_and_demo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     rng = np.random.default_rng(2020)
     for n in (2, 5, 8):
         (tmp_path / f"state{n}.json").write_text(state_to_json(helpers.random_state(rng, n)))
-    native = _digests(tmp_path, tmp_path / "native", None)
-    generic = _digests(tmp_path, tmp_path / "prescott", "Prescott")
+    native = _digests(tmp_path, tmp_path / "native", None, "points")
+    generic = _digests(tmp_path, tmp_path / "prescott", "Prescott", "points")
     assert len(native) == 8 + 13  # the 8 calls and the 13 files demo writes
+    assert generic == native
+
+
+@X86_64_ONLY
+def test_rotate_qubits_and_check_sep_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    rng = np.random.default_rng(2022)
+    for n in (1, 2, 5, 8, 10):
+        (tmp_path / f"state{n}.json").write_text(state_to_json(helpers.random_state(rng, n)))
+    for n in (2, 5, 8, 10):
+        factors = helpers.random_amplitudes(rng, 2 * n).reshape(n, 2)
+        (tmp_path / f"product{n}.json").write_text(state_to_json(helpers.product_state(factors)))
+    native = _digests(tmp_path, tmp_path / "native", None, "qubits")
+    generic = _digests(tmp_path, tmp_path / "prescott", "Prescott", "qubits")
+    assert len(native) == 14  # 5 qubit rotations, 8 separability tests, 1 spin-1/2 rotation
     assert generic == native

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from stellar import (
     majorana_constellation,
     majorana_polynomial,
     matching_max_distance,
+    PureState,
     spin_from_qubits,
     state_from_json,
     state_to_json,
@@ -184,6 +186,52 @@ def test_check_sep_verdicts(tmp_path, capsys, ent_pair):
     assert code == 0
     # a sloppy tolerance accepts the near-threshold split
     assert json.loads(out)["separable"] is True
+
+
+def check_sep_text(tmp_path, capsys, amplitudes, name):
+    """check-sep's exit code, stdout and stderr, with every warning an error."""
+    path = write_state(tmp_path, PureState(int(np.log2(len(amplitudes))), amplitudes), name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, ["check-sep", path])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_check_sep_bytes_do_not_depend_on_a_power_of_two_scale(tmp_path, capsys, n):
+    rng = np.random.default_rng(650 + n)
+    states = {
+        "product": helpers.product_state(helpers.random_amplitudes(rng, 2 * n).reshape(n, 2)),
+        "gaussian": helpers.random_state(rng, n),
+    }
+    for name, state in states.items():
+        a = state.amplitudes
+        tiny = np.abs(a.view(float))[a.view(float) != 0].min()
+        base = check_sep_text(tmp_path, capsys, a, f"{name}.json")
+        assert base[0] == 0 and base[2] == ""
+        for k in (2, 600, -600, 900, -900):
+            # every scaled amplitude stays a normal float, so the scaling is exact
+            assert np.abs(a.view(float)).max() * 2.0**k < np.finfo(float).max
+            assert tiny * 2.0**k >= np.finfo(float).tiny
+            scaled_amplitudes = np.ldexp(a.view(float), k).view(complex)
+            scaled = check_sep_text(tmp_path, capsys, scaled_amplitudes, f"{name}{k}.json")
+            assert scaled == base, (name, k)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300, 1e-200, 1e-300, 1e-310])
+def test_check_sep_at_extreme_scales(tmp_path, capsys, scale):
+    # at 1e200 the factor norms used to overflow to a [0, 0, 0, 0] factor, and at 1e-200
+    # they underflowed to a NaN that the JSON writer refused
+    product, bell = np.array([1.0, 2.0, 3.0, 6.0]), np.array([1.0, 0.0, 0.0, 1.0])
+    code, out, err = check_sep_text(tmp_path, capsys, scale * product, "product.json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["separable"] is True
+    expected = [[1 / np.sqrt(5), 0, 2 / np.sqrt(5), 0], [1 / np.sqrt(10), 0, 3 / np.sqrt(10), 0]]
+    np.testing.assert_allclose(doc["factors"], expected, rtol=0, atol=1e-13)
+    code, out, err = check_sep_text(tmp_path, capsys, scale * bell, "bell.json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["separable"] is False and abs(doc["residual"] - 1.0) <= 1e-15
 
 
 def test_malformed_state_file_exits_two(tmp_path, capsys):

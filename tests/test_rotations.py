@@ -128,7 +128,7 @@ def test_rotate_spin_identity_keeps_ray():
     assert rays_equal(rotated.amplitudes, spin.amplitudes)
 
 
-@pytest.mark.parametrize("two_S", [2, 3, 7, 63, 255, 1023])
+@pytest.mark.parametrize("two_S", [1, 2, 3, 7, 63, 255, 1023])
 def test_rotate_spin_matches_dense_matrix(two_S):
     rng = np.random.default_rng(90 + two_S)
     for _ in range(3):
@@ -181,6 +181,45 @@ def test_rotate_qubits_identity_and_length_check(product_pair):
     assert rays_equal(same.amplitudes, product_pair.amplitudes)
     with pytest.raises(ValueError):
         rotate_qubits(product_pair, [EulerAngles(0, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), ("x", 0.2, 0.3), (None, 0.2, 0.3), 0.5],
+    ids=["two", "four", "text", "none", "scalar"],
+)
+def test_rotate_qubits_refuses_a_triple_that_is_not_three_numbers(product_pair, triple):
+    with pytest.raises(TypeError):
+        rotate_qubits(product_pair, [triple, (0.1, 0.2, 0.3)])
+    with pytest.raises(TypeError):  # ragged: the good triple comes first
+        rotate_qubits(product_pair, [(0.1, 0.2, 0.3), triple])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rotate_qubits_matches_the_kronecker_oracle(n):
+    rng = np.random.default_rng(630 + n)
+    for _ in range(2):
+        state = helpers.random_state(rng, n)  # entangled
+        triples = [random_angles(rng) for _ in range(n)]
+        err = np.max(np.abs(
+            rotate_qubits(state, triples).amplitudes
+            - helpers.kronecker_qubit_rotation(state.amplitudes, triples)
+        ))
+        assert err <= 1e-14 * np.linalg.norm(state.amplitudes)
+
+
+def test_rotating_a_basis_qubit_returns_the_columns_of_wigner_D():
+    # the einsum apply adds exact zeros to u[a, b] * 1, so the bits must match
+    rng = np.random.default_rng(640)
+    for _ in range(20):
+        ang = random_angles(rng)
+        u = wigner_D(1, ang)
+        for b in (0, 1):
+            basis = np.eye(2)[b]
+            np.testing.assert_array_equal(rotate_spin(SpinState(1, basis), ang).amplitudes, u[:, b])
+            np.testing.assert_array_equal(
+                rotate_qubits(helpers.make_pure_state(1, basis), [ang]).amplitudes, u[:, b]
+            )
 
 
 def test_uniform_quarter_turn_on_product_state(product_pair):
