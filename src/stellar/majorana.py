@@ -9,12 +9,12 @@ points. A drop of l in the actual degree contributes l south-pole points.
 The inverse direction builds a state from 2S spinors (alpha |+> + beta |->):
 the coefficient of x^m in prod_k (alpha_k x + beta_k), divided by the square
 root of the binomial weight, is the amplitude at M = m - S, up to one free
-overall scale. The product is expanded in place, one factor at a time, in
-one array of 2S + 1 coefficients.
+overall scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -94,20 +94,34 @@ def qubit_majorana_polynomial(state: PureState) -> ComplexPolynomial:
 def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0) -> SpinState:
     """Symmetrized state of 2S spinors, Spinors or a (2S, 2) array, over the
     binomial weights. A spinor with alpha = 0 (a south-pole direction) lowers
-    the product degree; the all-zero spinor is rejected."""
+    the product degree; the all-zero spinor is rejected. The factors, padded
+    with (0, 1), are expanded in L blocks of m = isqrt(2S) + 1 side by side and
+    folded together by windowed einsums. To first order (u, mu as in
+    polyroots._horner) a term of c_j passes 2S - 1 products and at most
+    2S - L + (L - 1) m < 4S additions, so |error_j| <= ((2S - 1) mu +
+    (2S - L + (L - 1) m) u) M_j < (sqrt(2) + 1) 2S eps M_j, where M_j is the
+    coefficient of x^j in prod_k (|alpha_k| x + |beta_k|)."""
     two_s = len(spinors)
     if two_s == 0:
         raise ValueError("need at least one spinor")
-    alpha, beta = np.asarray(spinors, dtype=complex).reshape(two_s, 2).T
+    m = math.isqrt(two_s) + 1
+    blocks = -(-two_s // m)
+    pairs = np.full((blocks * m, 2), [0, 1], dtype=complex)
+    pairs[:two_s] = np.asarray(spinors, dtype=complex).reshape(two_s, 2)
+    alpha, beta = pairs.T.reshape(2, blocks, m, 1)
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
-    coeffs = np.zeros(two_s + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for k, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
-        high = coeffs[: k + 1] * a
-        coeffs[: k + 1] *= b
-        coeffs[1 : k + 2] += high
-    return SpinState(two_s, scale * coeffs / sqrt_binomials(two_s))
+    parts = np.zeros((blocks, m + 1), dtype=complex)
+    parts[:, 0] = 1.0
+    for k in range(m):
+        high = parts[:, : k + 1] * alpha[:, k]
+        parts[:, : k + 1] *= beta[:, k]
+        parts[:, 1 : k + 2] += high
+    coeffs = np.concatenate([np.zeros(m), parts[0], np.zeros((blocks - 1) * m)])
+    windows = np.lib.stride_tricks.sliding_window_view(coeffs, m + 1)  # j-th ends at c_j
+    for k, part in enumerate(parts[1:], start=2):
+        coeffs[m : k * m + m + 1] = np.einsum("jt,t->j", windows[: k * m + 1], part[::-1])
+    return SpinState(two_s, scale * coeffs[m : m + two_s + 1] / sqrt_binomials(two_s))
 
 
 def _spinors(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:

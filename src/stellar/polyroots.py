@@ -23,6 +23,7 @@ give identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,25 +148,41 @@ def _horner(coeffs: np.ndarray, x: np.ndarray):
 
     Where |x| > 1 the reversed polynomial q(z) = z^n p(1/z) = p(x) / x^n is
     evaluated at z = 1/x, elsewhere p itself at z = x, so that |z| <= 1 and
-    no power of |x| is ever formed; both orders run in one loop over all
-    points. The denominator is p' in the units of the value: p/p' = v / d
-    at z = x, and v / (n z v - z^2 d) at z = 1/x, d being q'(z).
+    no power of |x| is ever formed. The denominator is p' in the units of the
+    value: p/p' = v / d at z = x, and v / (n z v - z^2 d) at z = 1/x, d being
+    q'(z). Each order r runs in L = ceil((n + 1)/m) blocks of m = isqrt(n) + 1
+    coefficients (Paterson & Stockmeyer 1973): r = sum_b B_b w^b, w = z^m,
+    each B_b an einsum row against z^0..z^(m-1). To first order (u = eps/2,
+    mu = sqrt(2) gamma_2 per complex product; Higham 2002, sec. 3.6) r_k z^k,
+    k = bm + i, passes i + bm = k products, as in Horner's rule (w carries
+    m - 1), but m + L - 2 <= n additions (m + (n + 1)/m <= n + 2), so
+    |v - r(z)| <= (n mu + (m + L - 2) u) sum_k |r_k||z|^k < 2n eps sum_k
+    |r_k||z|^k, as find_roots allows; r', from k r_k, has one rounding more.
     """
     n = coeffs.shape[0] - 1
+    m = math.isqrt(n) + 1
+    blocks = -(-(n + 1) // m)
     big = np.abs(x) > 1.0
-    z = np.where(big, 1.0 / np.where(big, x, 1.0), x)
-    # column 0 holds p's coefficients, column 1 q's, both highest order first
-    orders = np.array([coeffs[::-1], coeffs]).T
-    columns = big.astype(np.intp)
-    table, moduli = orders[1:, columns], np.abs(orders)[:, columns]
-    v, d, s, az = orders[0, columns], np.zeros_like(z), moduli[0], np.abs(z)
-    for row, mod in zip(table, moduli[1:]):
-        d *= z
-        d += v
-        v *= z
-        v += row
-        s = s * az + mod
-    return v, np.where(big, n * z * v - z * z * d, d), s
+    order, cut = np.argsort(big, kind="stable"), x.size - np.count_nonzero(big)
+    z = np.concatenate([x[order[:cut]], 1.0 / x[order[cut:]]])  # p's points, then q's
+    # [p, q] x [value, derivative] x blocks, highest first and zero-padded on top, x m
+    rows = np.zeros((2, 2, blocks * m), dtype=complex)
+    rows[0, 0, : n + 1], rows[1, 0, : n + 1] = coeffs, coeffs[::-1]
+    rows[:, 1, :n] = rows[:, 0, 1 : n + 1] * np.arange(1, n + 1)
+    table = rows.reshape(2, 2, blocks, m)[:, :, ::-1]
+    # z^0..z^m and |z|^0..|z|^m, each by one cumulative product per point
+    powers = np.vander(z, m + 1, increasing=True)
+    radii = np.vander(np.abs(z), m + 1, increasing=True)
+    parts, sums = np.empty((blocks, 2, z.size), dtype=complex), np.empty((blocks, z.size))
+    for r, at in enumerate((slice(cut), slice(cut, None))):
+        np.einsum("kbi,pi->bkp", table[r], powers[at, :m], out=parts[:, :, at])
+        np.einsum("bi,pi->bp", np.abs(table[r, 0]), radii[at, :m], out=sums[:, at])
+    acc, s = parts[0], sums[0]
+    for part, total in zip(parts[1:], sums[1:]):
+        acc, s = acc * powers[:, m] + part, s * radii[:, m] + total
+    acc[1, cut:] = n * z[cut:] * acc[0, cut:] - z[cut:] * z[cut:] * acc[1, cut:]
+    back = np.argsort(order)
+    return acc[0, back], acc[1, back], s[back]
 
 
 def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
@@ -227,9 +244,8 @@ def find_roots(
     n, kept = hi - lo, p.coefficients[lo : hi + 1]
     raw = _aberth(kept, max_iterations)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
-    # one float64 Horner pass by the reversed split, where the factor |x|^n of
-    # both sums cancels, plus 2n eps, which bounds that pass's rounding; the
-    # zero roots are exact roots of the deflated polynomial
+    # one float64 pass of _horner, where the factor |x|^n of both sums cancels, plus
+    # 2n eps, which bounds its rounding; the zero roots are exact roots of the deflated one
     with np.errstate(all="ignore"):
         value, _, s = _horner(kept, raw)
         residual = float(np.max(np.abs(value) / s + 2.0 * n * _EPS, initial=0.0))

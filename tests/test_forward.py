@@ -49,10 +49,10 @@ def constellation(encoding, state):
 # below; the bytes are those of the Aberth iterates, which certification
 # never moves
 FORWARD_DIGESTS = {
-    ("majorana", 9): "51fec3d90ccefcbb8bce2a6281592e3e9c29b9343b51a6e1abeed26739b7e36b",
-    ("alt", 9): "846af18668a2c8602cf418337ed295c1c2e4172f2ad9926a36b9589bc029313e",
-    ("majorana", 10): "0f7af903d229e145a46c656fb5acada63eaf84eb600c85bd46df324d7dd406a4",
-    ("alt", 10): "8ffd0db5792d4c22cf26ed7edbb563222ec82d17c176f0d683d6e9fe50742e4c",
+    ("majorana", 9): "d409fa1f3d0df7e6d5b9b27ff936c75ec523968e2223b4b80844790f9c3656f7",
+    ("alt", 9): "5ba44bef3f13a3eb8de70cae167435360b3c1bf2803b3dc546150b2d95231815",
+    ("majorana", 10): "74968c098f83d5d1fc129ad503a7f391e0c3ea24a0949f5189bc4a204f706a7f",
+    ("alt", 10): "7ce49c82e3d88538930d68acfe30cc5a451a449ac13bf1af9873fcd3b8dcd11c",
 }
 
 # 10-qubit product states of Gaussian factors whose exact roots, rounded to

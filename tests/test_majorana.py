@@ -272,3 +272,24 @@ def test_spinor_product_within_rounding_bound_of_mpmath(kind, two_S):
         [(abs(a), abs(b)) for a, b in spinors]
     ).real
     assert np.all(error <= two_S * np.finfo(float).eps * magnitudes)
+
+
+@pytest.mark.parametrize("two_S", [1, 2, 3, 4, 8, 9, 15, 16, 17, 24, 25, 63, 64])
+def test_spinor_product_within_its_documented_bound_at_block_edges(two_S):
+    # state_from_spinors' docstring: |error_j| <= ((2S - 1) mu + (2S - L + (L - 1) m) u) M_j
+    # to first order, M_j the coefficient of x^j in prod_k (|alpha_k| x + |beta_k|); three
+    # roundings more here: dividing the weights out, multiplying them back and
+    # rounding the mpmath product
+    u = np.finfo(float).eps / 2
+    mu = math.sqrt(2) * 2 * u / (1 - 2 * u)
+    m = math.isqrt(two_S) + 1
+    blocks = -(-two_S // m)
+    rng = np.random.default_rng(900 + two_S)
+    spinors = [Spinor(*helpers.random_amplitudes(rng, 2)) for _ in range(two_S)]
+    sizes = helpers.mpmath_product_coefficients([(abs(a), abs(b)) for a, b in spinors]).real
+    bound = ((two_S - 1) * mu + (two_S - blocks + (blocks - 1) * m + 3) * u) * sizes
+    got = state_from_spinors(spinors).amplitudes * sqrt_binomials(two_S)
+    assert np.all(np.abs(got - helpers.mpmath_product_coefficients(spinors)) <= bound)
+    # reversed, which moves factors across block boundaries wherever there are two blocks
+    back = state_from_spinors(spinors[::-1]).amplitudes * sqrt_binomials(two_S)
+    assert np.all(np.abs(back - got) <= 2 * bound)

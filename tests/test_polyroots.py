@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -271,6 +272,58 @@ def test_evaluator_matches_extended_precision_on_both_sides_of_the_unit_circle()
         assert np.all(np.abs(v / den - p / dp) <= 4 * n * eps * cond * np.abs(p / dp)), n
         assert np.all(np.abs(np.abs(v) / s - np.abs(p) / sums) <= 4 * n * eps), n
         assert np.any(np.abs(x) == above) and np.any(np.abs(x) == below), n
+
+
+# degrees whose n + 1 coefficients fill their last block of m = isqrt(n) + 1,
+# or leave one coefficient in it, and the degrees of N = 7..10
+BLOCK_EDGE_DEGREES = sorted(
+    {n for n in range(1, 301) if (n + 1) % (math.isqrt(n) + 1) in (0, 1)} | {127, 255, 511, 1023}
+)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_DEGREES)
+def test_blocked_evaluator_within_its_proven_rounding_bound(n):
+    # _horner's docstring: r_k z^k passes k complex products and at most
+    # m + L - 2 additions, so |v - r(z)| <= (n mu + (m + L - 2) u) sum_k |r_k||z|^k,
+    # and r' carries one rounding more, in k r_k; checked against the evaluated
+    # order r (p at z = x, q at z = 1/x) in extended precision at the float64 z
+    u = np.finfo(float).eps / 2
+    mu = math.sqrt(2) * 2 * u / (1 - 2 * u)
+    m = math.isqrt(n) + 1
+    blocks = -(-(n + 1) // m)
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    turns = np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1))
+    radii = np.outer([0.3, 0.9, below, above, 1.1, 3.0, 1e10], turns).ravel()
+    x = np.concatenate([radii, np.outer([below, above], [1, -1, 1j, -1j]).ravel()])
+    assert np.any(np.abs(x) == above) and np.any(np.abs(x) == below)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    v, den, s = stellar.polyroots._horner(c, x)
+    big = np.abs(x) > 1
+    z = np.where(big, 1.0 / np.where(big, x, 1.0), x)
+    ze, k = z.astype(np.clongdouble), np.arange(1, n + 1)
+
+    def reference(r):  # value, derivative and both moduli sums of r at z
+        a, az = np.abs(r), np.abs(ze)
+        return (helpers.extended_horner(r, ze), helpers.extended_horner(k * r[1:], ze),
+                helpers.extended_horner(a, az), helpers.extended_horner(k * a[1:], az))
+
+    ce = c.astype(np.clongdouble)
+    orders = zip(reference(ce), reference(ce[::-1]))  # p at |x| <= 1, q beyond
+    value, deriv, sums, dsums = (np.where(big, q, p) for p, q in orders)
+    value_error = (n * mu + (m + blocks - 2) * u) * sums
+    deriv_error = ((n - 1) * mu + (m + blocks - 1) * u) * dsums
+    assert np.all(np.abs(v - value) <= value_error)
+    # each term of the sum carries k real products, m + L - 2 additions and
+    # the roundings of |r_k| and, k times over, of |z|, each within 2u
+    assert np.all(np.abs(s - sums) <= (3 * n + m + blocks) * u * sums)
+    assert np.all(np.abs(den - deriv)[~big] <= deriv_error[~big])
+    # at z = 1/x, den = n z v - z^2 r' adds the roundings of n z (u), of its
+    # product with v and of z^2 and z^2 r' (mu each), and of the difference (u)
+    az, av, ad = np.abs(z), np.abs(value), np.abs(deriv)
+    q_error = (n * az * value_error + az * az * deriv_error
+               + (2 * u + mu) * n * az * av + (u + 2 * mu) * az * az * ad)
+    assert np.all(np.abs(den - (n * z * value - z * z * deriv))[big] <= q_error[big])
 
 
 def test_iteration_limit_still_raises_on_a_large_polynomial():
