@@ -83,10 +83,9 @@ def cmd_rotate(args) -> str:
     if args.mode == "spin":
         triple = _parse_triple(args.angles, args.degrees)
         return state_to_json(qubits_from_spin(rotate_spin(spin_from_qubits(state), triple)))
-    if args.angles_per_qubit is None:  # --angles T is --angles-per-qubit "T;...;T"
-        triples = [_parse_triple(args.angles, args.degrees)] * state.n_qubits
-    else:
-        triples = [_parse_triple(p, args.degrees) for p in args.angles_per_qubit.split(";")]
+    if args.angles_per_qubit is None:
+        return state_to_json(rotate_qubits_uniform(state, _parse_triple(args.angles, args.degrees)))
+    triples = [_parse_triple(p, args.degrees) for p in args.angles_per_qubit.split(";")]
     return state_to_json(rotate_qubits(state, triples))
 
 

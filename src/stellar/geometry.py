@@ -54,6 +54,8 @@ class Constellation:
         thetas, phis = np.array(thetas, dtype=float), np.array(phis, dtype=float)
         if thetas.size != expected_size:
             raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
+        if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
+            raise ValueError("constellation has a non-finite angle")
         thetas.flags.writeable = phis.flags.writeable = False
         self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size)
 

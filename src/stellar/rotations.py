@@ -12,8 +12,8 @@ The small-d matrix is I + W diag(expm1(-i beta m)) W^H, W the eigenvectors of
 S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
 computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
-At 2S = 1 rotate_qubits builds every matrix in one vectorised pass and applies
-each with one np.einsum, never through BLAS; rotate_spin there is that apply.
+At 2S = 1 wigner_D builds the matrices rotate_qubits applies in one vectorised
+pass, each applied by one np.einsum, never BLAS; rotate_spin there is that apply.
 At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
 rotate_spin applies it to a state, never forming the matrix; wigner_small_d
 applies it to the identity, at twice one dense product's cost. Under
@@ -87,21 +87,13 @@ def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
 
 
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
-    """Unitary z-y-z rotation matrix for spin S, descending-M storage."""
+    """Unitary z-y-z rotation matrix for spin S, descending-M storage. At two_S = 1
+    the three angles may be arrays of one shape, giving a stack of shape + (2, 2)."""
     alpha, beta, gamma = angles
-    m = 0.5 * (two_S - 2.0 * np.arange(two_S + 1))
+    m = np.arange(0.5 * two_S, -0.5 * two_S - 1, -1.0)  # M = S, S - 1, ..., -S
     d = wigner_small_d(two_S, beta)
-    return np.exp(-1j * alpha * m)[:, None] * d * np.exp(-1j * gamma * m)[None, :]
-
-
-def _spin_half(triples) -> np.ndarray:
-    """wigner_D(1, t) for each Euler triple t, as one (k, 2, 2) stack."""
-    try:
-        alpha, beta, gamma = (np.array(triples) * 1.0).reshape(len(triples), 3).T[..., None]
-    except ValueError as error:  # ragged or the wrong length; * 1.0 refuses non-numbers
-        raise TypeError("each Euler triple must be three numbers") from error
-    m, d = np.array([0.5, -0.5]), wigner_small_d(1, beta[:, 0])
-    return np.exp(-1j * alpha * m)[:, :, None] * d * np.exp(-1j * gamma * m)[:, None, :]
+    return (np.exp(np.multiply.outer(-1j * alpha, m))[..., :, None] * d
+            * np.exp(np.multiply.outer(-1j * gamma, m))[..., None, :])
 
 
 def rotate_spin(state: SpinState, angles: EulerAngles) -> SpinState:
@@ -123,9 +115,13 @@ def rotate_qubits(state: PureState, per_qubit_angles: list[EulerAngles]) -> Pure
     n = state.n_qubits
     if len(per_qubit_angles) != n:
         raise ValueError(f"need {n} angle triples, got {len(per_qubit_angles)}")
+    try:
+        angles = (np.array(per_qubit_angles) * 1.0).reshape(n, 3).T
+    except ValueError as error:  # ragged or the wrong length; * 1.0 refuses non-numbers
+        raise TypeError("each Euler triple must be three numbers") from error
     amplitudes = state.amplitudes
     # turn the lowest bit, then move it to the top; n such steps turn bit j by triple j
-    for u in _spin_half(per_qubit_angles):
+    for u in wigner_D(1, angles):
         amplitudes = np.einsum("ab,ib->ai", u, amplitudes.reshape(-1, 2)).reshape(-1)
     return PureState(n, amplitudes)
 

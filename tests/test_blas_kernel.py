@@ -4,11 +4,13 @@ numpy's OpenBLAS picks its kernels by CPU at start-up, and
 OPENBLAS_CORETYPE overrides that choice for one process. The same calls run
 in two fresh interpreters, one with the machine's own kernel and one with
 Prescott's generic SSE3 kernels, which run on any x86-64 CPU, and every
-stdout and demo file must hash the same. The calls are points, render and
-demo, and rotate --mode qubits, check-sep on entangled and product states
-and rotate --mode spin at N = 1. rotate --mode spin at N >= 2 (2S > 1) is
-left out: its eigh and matrix products go through LAPACK and BLAS, and
-their last bits do move with the kernel.
+stdout and demo file must hash the same. The calls are points at N = 2, 5,
+8 and 10 in both encodings and on a 10-qubit product state in the alt
+encoding, render and demo; and rotate --mode qubits up to N = 10, check-sep
+on entangled and product states up to N = 10 and rotate --mode spin at
+N = 1. These are the CI workflow's only Prescott checks. rotate --mode spin
+at N >= 2 (2S > 1) is left out: its eigh and matrix products go through
+LAPACK and BLAS, and their last bits do move with the kernel.
 """
 
 import json
@@ -36,9 +38,10 @@ inputs, group = sys.argv[1:]
 if group == "points":
     calls = [
         ["points", f"{inputs}/state{n}.json", "--encoding", encoding]
-        for n in (2, 5, 8)
+        for n in (2, 5, 8, 10)
         for encoding in ("majorana", "alt")
     ]
+    calls += [["points", f"{inputs}/product10.json", "--encoding", "alt"]]
     calls += [["render", "points.json", "--axes"], ["demo", "--out", "demo"]]
 else:
     calls = [
@@ -93,11 +96,13 @@ X86_64_ONLY = pytest.mark.skipif(
 @X86_64_ONLY
 def test_points_render_and_demo_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     rng = np.random.default_rng(2020)
-    for n in (2, 5, 8):
+    for n in (2, 5, 8, 10):
         (tmp_path / f"state{n}.json").write_text(state_to_json(helpers.random_state(rng, n)))
+    factors = helpers.random_amplitudes(rng, 20).reshape(10, 2)
+    (tmp_path / "product10.json").write_text(state_to_json(helpers.product_state(factors)))
     native = _digests(tmp_path, tmp_path / "native", None, "points")
     generic = _digests(tmp_path, tmp_path / "prescott", "Prescott", "points")
-    assert len(native) == 8 + 13  # the 8 calls and the 13 files demo writes
+    assert len(native) == 11 + 13  # the 11 calls and the 13 files demo writes
     assert generic == native
 
 

@@ -7,12 +7,17 @@ import pytest
 from stellar import (
     BlochPoint,
     Constellation,
+    EulerAngles,
+    RenderSpec,
     bloch_point,
     geodesic_distance,
     match_constellations,
     matching_max_distance,
     point_from_cartesian,
     points_from_roots,
+    render_svg,
+    rotate_constellation,
+    so3_matrix,
     to_cartesian,
 )
 
@@ -35,6 +40,16 @@ def test_constellation_size_check():
     with pytest.raises(ValueError):
         Constellation(pts, 2)
     assert Constellation((), 0).points == ()
+
+
+def test_non_finite_angles_are_refused_wherever_a_constellation_is_built():
+    equator = helpers.make_constellation(helpers.EQUATORIAL_TRIPLE)
+    with pytest.raises(ValueError, match="non-finite"):
+        render_svg(Constellation((BlochPoint(np.nan, 0.0), BlochPoint(1.0, 0.5)), 2), RenderSpec())
+    with pytest.raises(ValueError, match="non-finite"):
+        bloch_point(np.nan, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        rotate_constellation(equator, so3_matrix(EulerAngles(np.nan, 0.0, 0.0)))
 
 
 def test_constellation_from_points_keeps_its_angles_in_read_only_arrays():

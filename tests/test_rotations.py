@@ -222,6 +222,19 @@ def test_rotating_a_basis_qubit_returns_the_columns_of_wigner_D():
             )
 
 
+@pytest.mark.parametrize("k", [None, 1, 3, 12], ids=["0-d", "1", "3", "12"])
+def test_spin_half_stack_holds_one_matrix_per_triple(k):
+    # rotate_qubits applies this stack, so each slice must be the scalar call's bits
+    rng = np.random.default_rng(650 + (k or 0))
+    triples = [random_angles(rng) for _ in range(k or 1)]
+    alpha, beta, gamma = np.transpose(triples) if k else map(np.array, triples[0])  # 0-d
+    stack = wigner_D(1, (alpha, beta, gamma))
+    assert stack.shape == np.shape(alpha) + (2, 2)
+    for j in np.ndindex(np.shape(alpha)):
+        one = wigner_D(1, EulerAngles(alpha[j], beta[j], gamma[j]))
+        np.testing.assert_array_equal(stack[j], one)
+
+
 def test_uniform_quarter_turn_on_product_state(product_pair):
     rotated = rotate_qubits_uniform(product_pair, QUARTER)
     # each factor (1,1) goes to (0, sqrt(2)): only the all-ones amplitude survives
