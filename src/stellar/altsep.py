@@ -78,7 +78,11 @@ def decide_separability(
     within (0.5m + 1.5)ua, (2.9m + 5.9)ua and (3.5m + 9.3)ua of exact, so by
     Weyl (a <= s0) each singular value moves <= (4.6m + 11.1)u s0 and, with
     14.5u from the closed form, |ratio - s1/s0| <= 5 (m + 4) eps.
+    As s1/s0 <= 1, a tol not below 1 (or NaN) would accept every state and is
+    refused with ValueError; a negative tol stops at the first cut.
     """
+    if not tol < 1.0:
+        raise ValueError(f"tol must lie below 1, got {tol!r}")
     # an exact power-of-two prescale keeps every sum finite
     exponent = math.frexp(float(np.abs(state.amplitudes.view(float)).max()))[1]
     vec = np.ldexp(state.amplitudes.view(float), -exponent).view(complex)

@@ -47,8 +47,6 @@ def _parse_triple(text: str, degrees: bool) -> EulerAngles:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InputFormatError(f"bad angle in {text!r}: {exc}") from exc
-    if not all(map(math.isfinite, vals)):
-        raise InputFormatError(f"angles must be finite, got {text!r}")
     if degrees:
         vals = [math.radians(v) for v in vals]
     return EulerAngles(*vals)

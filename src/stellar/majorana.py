@@ -109,6 +109,8 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
     pairs = np.full((blocks * m, 2), [0, 1], dtype=complex)
     pairs[:two_s] = np.asarray(spinors, dtype=complex).reshape(two_s, 2)
     alpha, beta = pairs.T.reshape(2, blocks, m, 1)
+    if not np.isfinite(pairs).all():
+        raise ValueError("spinors must be finite")
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
     parts = np.zeros((blocks, m + 1), dtype=complex)

@@ -236,8 +236,10 @@ def find_roots(
     reach tol a RootFindingError carrying the best iterate is raised; its
     message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
-    merged.
+    merged. A NaN tol is refused with ValueError.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     sizes = p._deflation_sizes()
     live = np.flatnonzero(sizes > COEFF_DEFLATION_RTOL * np.max(sizes))
     lo, hi = int(live[0]), int(live[-1])

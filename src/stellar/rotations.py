@@ -46,11 +46,29 @@ __all__ = [
 
 
 class EulerAngles(NamedTuple):
-    """z-y-z Euler triple in radians."""
+    """z-y-z Euler triple in radians. The angles must be real and finite: every
+    rotation entry point refuses others, with TypeError for complex or
+    non-numeric angles and a malformed triple, ValueError for NaN or inf."""
 
     alpha: float
     beta: float
     gamma: float
+
+
+def _euler(angles, shape: tuple[int, ...] | None = (3,)) -> np.ndarray:
+    """The Euler angles as one float64 array of the given shape, or of any shape
+    (3, ...) for None; the one place that decides which angles are valid."""
+    try:
+        a = np.asarray(angles)
+        fits = a.shape == shape or shape is None and a.shape[:1] == (3,)
+        real = a.dtype.kind in "biuf" and fits
+    except ValueError:  # ragged
+        real = False
+    if not real:
+        raise TypeError("each Euler triple must be three real numbers")
+    if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a triple
+        raise ValueError("Euler triple has a non-finite angle")
+    return a.astype(float, copy=False)
 
 
 # holds every qubit count 1..10 at once (2S = 2^N - 1; complex, 22.4 MB together)
@@ -89,7 +107,7 @@ def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
     """Unitary z-y-z rotation matrix for spin S, descending-M storage. At two_S = 1
     the three angles may be arrays of one shape, giving a stack of shape + (2, 2)."""
-    alpha, beta, gamma = angles
+    alpha, beta, gamma = _euler(angles, None if two_S == 1 else (3,))
     m = np.arange(0.5 * two_S, -0.5 * two_S - 1, -1.0)  # M = S, S - 1, ..., -S
     d = wigner_small_d(two_S, beta)
     return (np.exp(np.multiply.outer(-1j * alpha, m))[..., :, None] * d
@@ -100,9 +118,9 @@ def rotate_spin(state: SpinState, angles: EulerAngles) -> SpinState:
     """Amplitudes left-multiplied by wigner_D(two_S, angles), applied in the
     factored form of wigner_small_d; the matrix is never formed."""
     two_S = state.two_S
-    alpha, beta, gamma = angles
     if two_S == 1:  # one qubit
         return SpinState(1, rotate_qubits(PureState(1, state.amplitudes), [angles]).amplitudes)
+    alpha, beta, gamma = _euler(angles)
     m = 0.5 * (two_S - 2.0 * np.arange(two_S + 1))
     # d is real: Re and Im go through as two real columns
     x = (np.exp(-1j * gamma * m) * state.amplitudes).view(float).reshape(-1, 2)
@@ -115,20 +133,16 @@ def rotate_qubits(state: PureState, per_qubit_angles: list[EulerAngles]) -> Pure
     n = state.n_qubits
     if len(per_qubit_angles) != n:
         raise ValueError(f"need {n} angle triples, got {len(per_qubit_angles)}")
-    try:
-        angles = (np.array(per_qubit_angles) * 1.0).reshape(n, 3).T
-    except ValueError as error:  # ragged or the wrong length; * 1.0 refuses non-numbers
-        raise TypeError("each Euler triple must be three numbers") from error
     amplitudes = state.amplitudes
     # turn the lowest bit, then move it to the top; n such steps turn bit j by triple j
-    for u in wigner_D(1, angles):
+    for u in wigner_D(1, _euler(per_qubit_angles, (n, 3)).T):
         amplitudes = np.einsum("ab,ib->ai", u, amplitudes.reshape(-1, 2)).reshape(-1)
     return PureState(n, amplitudes)
 
 
 def rotate_qubits_uniform(state: PureState, angles: EulerAngles) -> PureState:
     """Same rotation on every qubit."""
-    return rotate_qubits(state, [EulerAngles(*angles)] * state.n_qubits)
+    return rotate_qubits(state, [angles] * state.n_qubits)
 
 
 def rotate_separable_components(a: complex, b: complex, angles: EulerAngles):
@@ -153,7 +167,7 @@ def so3_matrix(angles: EulerAngles) -> np.ndarray:
     Equals Rz(-alpha) Ry(beta) Rz(-gamma); the z signs mirror the
     qubit-component phase convention of wigner_D (see module docstring).
     """
-    alpha, beta, gamma = angles
+    alpha, beta, gamma = _euler(angles)
     return _rz(-alpha) @ _ry(beta) @ _rz(-gamma)
 
 

@@ -117,6 +117,15 @@ def test_tolerance_flag_tightens_the_verdict():
     assert tight.worst_bipartite_residual > 1e-9
 
 
+@pytest.mark.parametrize("tol", [np.nan, 1.0, 2.0])
+@pytest.mark.parametrize("state", [helpers.bell_pair, lambda: helpers.ghz(3)], ids=["bell", "ghz3"])
+def test_a_tolerance_not_below_one_is_refused(state, tol):
+    # s1/s0 <= 1, so such a tol would call every state separable; at these
+    # states' equal singular values it divided by a zero left vector instead
+    with pytest.raises(ValueError, match="tol must lie below 1"):
+        decide_separability(state(), tol)
+
+
 def test_verdict_invariant_enforced():
     with pytest.raises(ValueError):
         SeparabilityVerdict(True, None, 0.0)

@@ -277,6 +277,15 @@ def assert_one_error_line(code, out, err):
     assert err.count("error:") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["1", "2"])
+@pytest.mark.parametrize("state", [helpers.bell_pair, lambda: helpers.ghz(3)], ids=["bell", "ghz3"])
+def test_check_sep_tolerance_not_below_one_exits_two(state, tol):
+    # such a tol would accept every state; it used to end in a ZeroDivisionError traceback
+    proc = pipe_fresh(["check-sep", "-", "--tol", tol], state_to_json(state()))
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "tol" in proc.stderr
+
+
 ONE_POINT = '"points": [{"theta": 1.0, "phi": 0.5}]'
 
 

@@ -99,6 +99,52 @@ def test_forward_call_meets_the_contract(encoding, n, seed, product):
         assert digest == FORWARD_DIGESTS[encoding, n]
 
 
+# Gaussian amplitudes make both polynomials Gaussian analytic functions whose
+# covariance depends on x = |z|^2 through K(x): Kostlan's (1 + x)^d for the
+# Majorana encoding, Kac's sum_{k <= d} x^k for the alt one. The expected number
+# of roots with |z| < r is then x K'(x) / K(x) at x = r^2 (Edelman & Kostlan,
+# Bull. AMS 32, 1, 1995), so the expected share of points above each latitude is
+# known exactly: cos theta is uniform on [-1, 1] for Majorana (Hannay, J. Phys. A
+# 29, L101, 1996), and the alt points lie within O(1/d) of the equator (Shepp &
+# Vanderbei, Trans. AMS 347, 4365, 1995), their median |theta - pi/2| tending to
+# 1.80 / d, where coth(m) - 1/m = 1/2. The roots repel one another, so the
+# Dvoretzky-Kiefer-Wolfowitz bound for d independent points is a loose ceiling
+# on how far their empirical distribution strays from the expected one.
+def dkw_bound(d, alpha=1e-3):
+    """P(sup |F_d - F| > bound) <= alpha for d iid samples (Massart's constant)."""
+    return np.sqrt(np.log(2 / alpha) / (2 * d))
+
+
+def kac_share_inside(r, d):
+    """x K'(x) / K(x) / d for K(x) = sum_{k <= d} x^k: the mean of k / d under weights x^k."""
+    log_w = 2.0 * np.arange(d + 1) * np.log(r)
+    w = np.exp(log_w - log_w.max())
+    return np.arange(d + 1) @ w / w.sum() / d
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_gaussian_majorana_points_are_uniform_on_the_sphere(n):
+    d = 2**n - 1
+    state = helpers.random_state(np.random.default_rng(700 + n), n)  # as the contract test
+    expected = (1.0 + np.sort(np.cos(thetas(constellation("majorana", state))))) / 2.0
+    rank = np.arange(d)
+    ks = max(np.max((rank + 1) / d - expected), np.max(expected - rank / d))
+    assert ks <= dkw_bound(d)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_gaussian_alt_points_lie_within_order_1_over_d_of_the_equator(n):
+    d = 2**n - 1
+    state = helpers.random_state(np.random.default_rng(700 + n), n)  # as the contract test
+    median = np.median(np.abs(thetas(constellation("alt", state)) - np.pi / 2))
+    # theta = 2 arctan |z|, so |theta - pi/2| <= m is tan(pi/4 - m/2) <= |z| <= tan(pi/4 + m/2)
+    inside = kac_share_inside(np.tan(np.pi / 4 + median / 2), d) - kac_share_inside(
+        np.tan(np.pi / 4 - median / 2), d
+    )
+    # the sample median of d (odd) points has empirical share 1/2 within 1/(2d)
+    assert abs(inside - 0.5) <= dkw_bound(d) + 0.5 / d
+
+
 @pytest.mark.parametrize("n", range(7, 11))
 def test_majorana_polynomial_deflates_on_the_amplitudes(n):
     # on |c_k| the weights would send hundreds of the 1023 roots at N = 10 to

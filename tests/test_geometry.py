@@ -49,7 +49,9 @@ def test_non_finite_angles_are_refused_wherever_a_constellation_is_built():
     with pytest.raises(ValueError, match="non-finite"):
         bloch_point(np.nan, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        rotate_constellation(equator, so3_matrix(EulerAngles(np.nan, 0.0, 0.0)))
+        so3_matrix(EulerAngles(np.nan, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):  # so3_matrix refuses a NaN angle first
+        rotate_constellation(equator, np.full((3, 3), np.nan))
 
 
 def test_constellation_from_points_keeps_its_angles_in_read_only_arrays():

@@ -80,6 +80,13 @@ def test_state_from_spinors_rejects_empty_and_null():
         state_from_spinors([Spinor(1, 0), Spinor(0, 0), Spinor(0.6, 0.8j)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_state_from_spinors_refuses_non_finite_spinors(bad):
+    # the spinors are blamed, not the state they would have made
+    with pytest.raises(ValueError, match="spinors must be finite"):
+        state_from_spinors([(bad, 1.0)] * 3)
+
+
 def test_state_from_spinors_matches_permutation_sum_oracle():
     rng = np.random.default_rng(41)
     spinors = [

@@ -212,6 +212,11 @@ def test_nonconvergence_reports_best_iterate():
     assert err.best_roots.shape == (20,)
 
 
+def test_nan_tolerance_is_a_bad_argument_not_a_convergence_failure():
+    with pytest.raises(ValueError, match="NaN"):
+        find_roots(ComplexPolynomial([1.0, 2.0, 3.0]), tol=math.nan)
+
+
 def test_six_qubit_majorana_writes_nothing_to_stderr(capfd):
     # the degree-63 Majorana polynomial of this seeded state once overflowed
     # the iteration and leaked numpy RuntimeWarnings; now it converges quietly

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,76 @@ def test_rotate_qubits_refuses_a_triple_that_is_not_three_numbers(product_pair, 
         rotate_qubits(product_pair, [triple, (0.1, 0.2, 0.3)])
     with pytest.raises(TypeError):  # ragged: the good triple comes first
         rotate_qubits(product_pair, [(0.1, 0.2, 0.3), triple])
+
+
+# every public way in to a rotation, each taking one Euler triple
+ROTATION_ENTRY_POINTS = {
+    "wigner_D-1": lambda ang: wigner_D(1, ang),
+    "wigner_D-1-stack": lambda ang: wigner_D(1, tuple(np.full((2, 3), x) for x in ang)),
+    "wigner_D-3": lambda ang: wigner_D(3, ang),
+    "rotate_spin-1": lambda ang: rotate_spin(SpinState(1, [1.0, 2.0]), ang),
+    "rotate_spin-3": lambda ang: rotate_spin(SpinState(3, [1, 1, 1, 1]), ang),
+    "rotate_qubits": lambda ang: rotate_qubits(helpers.make_pure_state(2, [1, 2, 3, 4]), [ang] * 2),
+    "rotate_qubits_uniform": lambda ang: rotate_qubits_uniform(
+        helpers.make_pure_state(2, [1, 2, 3, 4]), ang
+    ),
+    "rotate_separable_components": lambda ang: rotate_separable_components(1.0, 2.0, ang),
+    "so3_matrix": so3_matrix,
+}
+
+# a complex angle breaks unitarity even with a zero imaginary part in another
+# entry, and a non-finite one must be blamed on the angles, not on the state
+BAD_ANGLES = {
+    "complex": ((1j, 0.5, 0.0), TypeError),
+    "complex-alpha": ((1j, 1.0, 2.0), TypeError),
+    "complex-real-valued": ((0.5 + 0j, 0.5, 0.0), TypeError),
+    "nan": ((np.nan, 0.0, 0.0), ValueError),
+    "inf": ((0.0, np.inf, 0.0), ValueError),
+    "-inf": ((0.0, 0.0, -np.inf), ValueError),
+}
+
+
+@pytest.mark.parametrize("form", ["python", "numpy"])
+@pytest.mark.parametrize("bad", BAD_ANGLES)
+@pytest.mark.parametrize("entry", ROTATION_ENTRY_POINTS)
+def test_every_rotation_entry_point_refuses_complex_and_non_finite_angles(entry, bad, form):
+    angles, error = BAD_ANGLES[bad]
+    # Python scalars in an EulerAngles, or one complex128 or float64 array
+    angles = EulerAngles(*angles) if form == "python" else np.array(angles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        with pytest.raises(error, match="Euler triple"):  # the angles are blamed, not the state
+            ROTATION_ENTRY_POINTS[entry](angles)
+
+
+@pytest.mark.parametrize("entry", ROTATION_ENTRY_POINTS)
+def test_integer_and_float32_angles_are_read_as_float64(entry):
+    def call(angles):  # a state's amplitudes, or the matrix itself
+        out = ROTATION_ENTRY_POINTS[entry](angles)
+        return getattr(out, "amplitudes", out)
+
+    np.testing.assert_array_equal(call((1, 2, -3)), call((1.0, 2.0, -3.0)))
+    third = np.float32(1 / 3)  # cos and sin of it run in float64, not float32
+    np.testing.assert_array_equal(
+        call(np.array([third, third, 0], dtype=np.float32)), call((float(third), float(third), 0.0))
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: so3_matrix((0.1, 0.2)),
+        lambda: so3_matrix((0.1, 0.2, 0.3, 0.4)),
+        lambda: wigner_D(3, (np.zeros(2), np.zeros(2), np.zeros(2))),  # stacks only at 2S = 1
+        lambda: wigner_D(1, (np.zeros(2), 0.5, 0.0)),  # arrays of different shapes
+        lambda: rotate_spin(SpinState(3, [1, 1, 1, 1]), ("x", 0.0, 0.0)),
+        lambda: rotate_spin(SpinState(1, [1, 1]), (None, 0.0, 0.0)),
+    ],
+    ids=["two", "four", "stack-at-2S-3", "ragged-stack", "text", "none"],
+)
+def test_a_malformed_triple_is_a_type_error_at_every_entry_point(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
