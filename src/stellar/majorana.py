@@ -113,6 +113,8 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
         raise ValueError("spinors must be finite")
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
+    if not (np.isfinite(scale) and scale != 0):
+        raise ValueError("scale must be finite and nonzero")
     parts = np.zeros((blocks, m + 1), dtype=complex)
     parts[:, 0] = 1.0
     for k in range(m):

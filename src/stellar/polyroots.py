@@ -109,9 +109,11 @@ class RootFindingError(RuntimeError):
 
 
 def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
-    """Evaluate p at a point or an array of points by Horner's rule."""
-    acc = np.polyval(p.coefficients[::-1], np.asarray(x, dtype=complex))
-    return complex(acc) if np.ndim(x) == 0 else acc
+    """p at a point or an array of points by _blocked on p itself, within _horner's bound."""
+    _, table, moduli = _tables(p.coefficients)
+    z = np.asarray(x, dtype=complex).reshape(-1)
+    (acc,), _ = _blocked(table[:1, :1], moduli[:1], z, z.size)
+    return complex(acc[0]) if np.ndim(x) == 0 else acc.reshape(np.shape(x))
 
 
 _EPS = np.finfo(float).eps
@@ -143,49 +145,61 @@ def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray):
-    """Value, Newton denominator and sum_k |c_k| |z|^k at each point x.
+def _tables(coeffs: np.ndarray):
+    """Degree n, [p, q] x [value r_k, derivative k r_k] x L = ceil((n + 1)/m) blocks of
+    m = isqrt(n) + 1, highest first and zero-padded on top, and |value blocks|: built once."""
+    n = coeffs.shape[0] - 1
+    m = math.isqrt(n) + 1
+    blocks = -(-(n + 1) // m)
+    rows = np.zeros((2, 2, blocks * m), dtype=complex)
+    rows[0, 0, : n + 1], rows[1, 0, : n + 1] = coeffs, coeffs[::-1]
+    rows[:, 1, :n] = rows[:, 0, 1 : n + 1] * np.arange(1, n + 1)
+    table = rows.reshape(2, 2, blocks, m)[:, :, ::-1]
+    return n, table, np.abs(table[:, 0])
+
+
+def _blocked(table: np.ndarray, moduli: np.ndarray, z: np.ndarray, cut: int):
+    """sum_k r_k z^k for each order r in the table, and sum_k |r_k||z|^k, by its
+    first side at z[:cut] and any second at z[cut:]: r = sum_b B_b w^b, w = z^m
+    (Paterson & Stockmeyer 1973), each B_b an einsum row against z^0..z^(m-1)."""
+    blocks, m = moduli.shape[1:]
+    powers, radii = (np.vander(v, m + 1, increasing=True) for v in (z, np.abs(z)))
+    parts, sums = np.empty((blocks, table.shape[1], z.size), complex), np.empty((blocks, z.size))
+    for rows, sizes, at in zip(table, moduli, (slice(cut), slice(cut, None))):
+        np.einsum("kbi,pi->bkp", rows, powers[at, :m], out=parts[:, :, at])
+        np.einsum("bi,pi->bp", sizes, radii[at, :m], out=sums[:, at])
+    acc, s = parts[0], sums[0]
+    for part, total in zip(parts[1:], sums[1:]):
+        acc, s = acc * powers[:, m] + part, s * radii[:, m] + total
+    return acc, s
+
+
+def _horner(tables, x: np.ndarray):
+    """Value, Newton denominator (if the tables hold derivatives) and sum_k |c_k| |z|^k at x.
 
     Where |x| > 1 the reversed polynomial q(z) = z^n p(1/z) = p(x) / x^n is
     evaluated at z = 1/x, elsewhere p itself at z = x, so that |z| <= 1 and
     no power of |x| is ever formed. The denominator is p' in the units of the
     value: p/p' = v / d at z = x, and v / (n z v - z^2 d) at z = 1/x, d being
-    q'(z). Each order r runs in L = ceil((n + 1)/m) blocks of m = isqrt(n) + 1
-    coefficients (Paterson & Stockmeyer 1973): r = sum_b B_b w^b, w = z^m,
-    each B_b an einsum row against z^0..z^(m-1). To first order (u = eps/2,
-    mu = sqrt(2) gamma_2 per complex product; Higham 2002, sec. 3.6) r_k z^k,
-    k = bm + i, passes i + bm = k products, as in Horner's rule (w carries
-    m - 1), but m + L - 2 <= n additions (m + (n + 1)/m <= n + 2), so
-    |v - r(z)| <= (n mu + (m + L - 2) u) sum_k |r_k||z|^k < 2n eps sum_k
-    |r_k||z|^k, as find_roots allows; r', from k r_k, has one rounding more.
+    q'(z). To first order (u = eps/2, mu = sqrt(2) gamma_2 per complex product;
+    Higham 2002, sec. 3.6) _blocked's r_k z^k, k = bm + i, passes i + bm = k
+    products, as in Horner's rule (w carries m - 1), but m + L - 2 <= n
+    additions (m + (n + 1)/m <= n + 2), so |v - r(z)| <= (n mu + (m + L - 2) u)
+    sum_k |r_k||z|^k < 2n eps sum_k |r_k||z|^k, as find_roots allows; r', from
+    k r_k, has one rounding more.
     """
-    n = coeffs.shape[0] - 1
-    m = math.isqrt(n) + 1
-    blocks = -(-(n + 1) // m)
+    n, table, moduli = tables
     big = np.abs(x) > 1.0
     order, cut = np.argsort(big, kind="stable"), x.size - np.count_nonzero(big)
     z = np.concatenate([x[order[:cut]], 1.0 / x[order[cut:]]])  # p's points, then q's
-    # [p, q] x [value, derivative] x blocks, highest first and zero-padded on top, x m
-    rows = np.zeros((2, 2, blocks * m), dtype=complex)
-    rows[0, 0, : n + 1], rows[1, 0, : n + 1] = coeffs, coeffs[::-1]
-    rows[:, 1, :n] = rows[:, 0, 1 : n + 1] * np.arange(1, n + 1)
-    table = rows.reshape(2, 2, blocks, m)[:, :, ::-1]
-    # z^0..z^m and |z|^0..|z|^m, each by one cumulative product per point
-    powers = np.vander(z, m + 1, increasing=True)
-    radii = np.vander(np.abs(z), m + 1, increasing=True)
-    parts, sums = np.empty((blocks, 2, z.size), dtype=complex), np.empty((blocks, z.size))
-    for r, at in enumerate((slice(cut), slice(cut, None))):
-        np.einsum("kbi,pi->bkp", table[r], powers[at, :m], out=parts[:, :, at])
-        np.einsum("bi,pi->bp", np.abs(table[r, 0]), radii[at, :m], out=sums[:, at])
-    acc, s = parts[0], sums[0]
-    for part, total in zip(parts[1:], sums[1:]):
-        acc, s = acc * powers[:, m] + part, s * radii[:, m] + total
-    acc[1, cut:] = n * z[cut:] * acc[0, cut:] - z[cut:] * z[cut:] * acc[1, cut:]
+    acc, s = _blocked(table, moduli, z, cut)
+    for den in acc[1:]:  # none for tables of value rows only
+        den[cut:] = n * z[cut:] * acc[0, cut:] - z[cut:] * z[cut:] * den[cut:]
     back = np.argsort(order)
-    return acc[0, back], acc[1, back], s[back]
+    return (*acc[:, back], s[back])
 
 
-def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
+def _aberth(coeffs: np.ndarray, tables, max_iterations: int) -> np.ndarray:
     """All roots of a dense polynomial with nonzero ends, simultaneously.
 
     A root stops iterating once its value is below the rounding bound of
@@ -201,7 +215,7 @@ def _aberth(coeffs: np.ndarray, max_iterations: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         for _ in range(max_iterations):
             xl = x[live]
-            v, den, s = _horner(coeffs, xl)
+            v, den, s = _horner(tables, xl)
             # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals
             dr, di = xl.real[:, None] - x.real, xl.imag[:, None] - x.imag
             sq = dr * dr + di * di
@@ -244,12 +258,13 @@ def find_roots(
     live = np.flatnonzero(sizes > COEFF_DEFLATION_RTOL * np.max(sizes))
     lo, hi = int(live[0]), int(live[-1])
     n, kept = hi - lo, p.coefficients[lo : hi + 1]
-    raw = _aberth(kept, max_iterations)
+    _, table, moduli = tables = _tables(kept)
+    raw = _aberth(kept, tables, max_iterations)
     roots = np.concatenate([raw, np.zeros(lo, dtype=complex)])
-    # one float64 pass of _horner, where the factor |x|^n of both sums cancels, plus
-    # 2n eps, which bounds its rounding; the zero roots are exact roots of the deflated one
+    # one float64 pass of _horner's value rows, where the factor |x|^n of both sums cancels,
+    # plus 2n eps, which bounds its rounding; the zero roots are exact roots of the deflated one
     with np.errstate(all="ignore"):
-        value, _, s = _horner(kept, raw)
+        value, s = _horner((n, table[:, :1], moduli), raw)
         residual = float(np.max(np.abs(value) / s + 2.0 * n * _EPS, initial=0.0))
     # written so that a NaN residual (non-finite roots) fails too
     if not residual <= tol:

@@ -65,7 +65,7 @@ def _euler(angles, shape: tuple[int, ...] | None = (3,)) -> np.ndarray:
     except ValueError:  # ragged
         real = False
     if not real:
-        raise TypeError("each Euler triple must be three real numbers")
+        raise TypeError("Euler angles must be real numbers, three to an Euler triple")
     if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a triple
         raise ValueError("Euler triple has a non-finite angle")
     return a.astype(float, copy=False)
@@ -87,7 +87,13 @@ def _sy_eigenvectors(two_S: int) -> np.ndarray:
 
 
 def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
-    """Real small-d matrix d^S_{M'M}(beta), descending M order both ways."""
+    """Real small-d matrix d^S_{M'M}(beta), descending M order both ways. beta is
+    read as an Euler angle; at two_S = 1 it may be an array, giving a stack."""
+    return _small_d(two_S, _euler(beta, np.shape(beta) if two_S == 1 else ()))
+
+
+def _small_d(two_S: int, beta: np.ndarray) -> np.ndarray:
+    """wigner_small_d for a beta already read by _euler."""
     if two_S < 1:
         raise ValueError("two_S must be a positive integer")
     if two_S == 1:  # exact to the rounding of cos and sin; beta may be an array
@@ -109,7 +115,7 @@ def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
     the three angles may be arrays of one shape, giving a stack of shape + (2, 2)."""
     alpha, beta, gamma = _euler(angles, None if two_S == 1 else (3,))
     m = np.arange(0.5 * two_S, -0.5 * two_S - 1, -1.0)  # M = S, S - 1, ..., -S
-    d = wigner_small_d(two_S, beta)
+    d = _small_d(two_S, beta)
     return (np.exp(np.multiply.outer(-1j * alpha, m))[..., :, None] * d
             * np.exp(np.multiply.outer(-1j * gamma, m))[..., None, :])
 

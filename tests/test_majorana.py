@@ -87,6 +87,15 @@ def test_state_from_spinors_refuses_non_finite_spinors(bad):
         state_from_spinors([(bad, 1.0)] * 3)
 
 
+@pytest.mark.parametrize(
+    "scale", [np.nan, np.inf, complex(0.0, -np.inf), 0.0, 0j], ids=["nan", "inf", "inf-imag", "zero", "zero-complex"]
+)
+def test_state_from_spinors_refuses_a_non_finite_or_zero_scale(scale):
+    # a bad argument, not a bad state: the message names scale
+    with pytest.raises(ValueError, match="scale must be finite and nonzero"):
+        state_from_spinors([(0.6, 0.8j)] * 3, scale=scale)
+
+
 def test_state_from_spinors_matches_permutation_sum_oracle():
     rng = np.random.default_rng(41)
     spinors = [

@@ -65,6 +65,35 @@ def test_evaluate_vectorized_matches_scalar():
     np.testing.assert_allclose(evaluate(p, xs), [evaluate(p, x) for x in xs])
 
 
+# Gaussian coefficients at degrees 1..1023, and c_k = 2^-k at degree 1000, whose
+# sum_k |c_k| |x|^k fits in float64 at |x| = 2.5 although |x|^1000 does not
+EVALUATE_CASES = [(n, "gaussian") for n in (1, 2, 3, 7, 15, 31, 63, 127, 255, 511, 1023)]
+EVALUATE_CASES += [(1000, "decaying")]
+
+
+@pytest.mark.parametrize("n, kind", EVALUATE_CASES)
+def test_evaluate_within_the_horner_bound_on_both_sides_of_the_unit_circle(n, kind):
+    eps = np.finfo(float).eps
+    if kind == "decaying":
+        c = 0.5 ** np.arange(n + 1) + 0j
+    else:
+        c = helpers.random_amplitudes(np.random.default_rng(n), n + 1)
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    turns = np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1))
+    radii = np.outer([0.3, 0.9, below, above, 1.1, 2.5], turns).ravel()
+    x = np.concatenate([radii, np.outer([below, above, 2.5], [1, -1, 1j, -1j]).ravel()])
+    ce, xe = c.astype(np.clongdouble), x.astype(np.clongdouble)
+    exact = helpers.extended_horner(ce, xe)
+    sums = helpers.extended_horner(np.abs(ce), np.abs(xe))
+    fits = sums <= np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):  # where the sum itself overflows
+        value = evaluate(ComplexPolynomial(c), x)
+    assert np.all(np.isfinite(value[fits]))
+    assert np.all(np.abs(value - exact)[fits] <= 2 * n * eps * sums[fits])
+    # the decaying sums fit at x = 2.5 and 2.5j, where x^1000 overflows
+    assert kind == "gaussian" or fits[np.isin(x, [2.5, 2.5j])].all()
+
+
 def test_cube_roots_of_unity_pattern():
     # equal coefficients factor as (1+x)(1+x^2)
     result = find_roots(ComplexPolynomial([RT3, RT3, RT3, RT3]))
@@ -254,6 +283,24 @@ def test_certification_is_one_float64_pass(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 15])
+def test_tables_are_built_once_and_certification_forms_no_derivative(monkeypatch, degree):
+    # one _tables call serves the Aberth loop and the certification pass, also at
+    # degree <= 1, where _aberth returns early; only the iteration reads p' rows
+    built, orders = [], []
+    tables, blocked = stellar.polyroots._tables, stellar.polyroots._blocked
+    monkeypatch.setattr(stellar.polyroots, "_tables", lambda c: built.append(1) or tables(c))
+    monkeypatch.setattr(
+        stellar.polyroots, "_blocked", lambda t, *a: orders.append(t.shape[1]) or blocked(t, *a)
+    )
+    coeffs = helpers.random_amplitudes(np.random.default_rng(69 + degree), degree + 1)
+    result = find_roots(ComplexPolynomial(coeffs))
+    assert result.roots.shape == (degree,)
+    assert len(built) == 1
+    assert orders[-1] == 1  # the certification pass: value rows only
+    assert orders[:-1] == [2] * (len(orders) - 1) and (len(orders) > 1) == (degree > 1)
+
+
 def test_evaluator_matches_extended_precision_on_both_sides_of_the_unit_circle():
     # _horner evaluates p at |x| <= 1 and the reversed polynomial at 1/x
     # beyond, where x^63 may overflow (|x| = 1e10); both must give p/p' and
@@ -267,7 +314,7 @@ def test_evaluator_matches_extended_precision_on_both_sides_of_the_unit_circle()
     for n in range(1, 64):
         c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         x = points[np.min(np.abs(points[:, None] - np.roots(c[::-1])), axis=1) > 0.02]
-        v, den, s = stellar.polyroots._horner(c, x)
+        v, den, s = stellar.polyroots._horner(stellar.polyroots._tables(c), x)
         ce, xe, k = c.astype(np.clongdouble), x.astype(np.clongdouble), np.arange(1, n + 1)
         p, dp = helpers.extended_horner(ce, xe), helpers.extended_horner(k * ce[1:], xe)
         a, ax = np.abs(ce), np.abs(xe)
@@ -303,7 +350,7 @@ def test_blocked_evaluator_within_its_proven_rounding_bound(n):
     assert np.any(np.abs(x) == above) and np.any(np.abs(x) == below)
     rng = np.random.default_rng(n)
     c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    v, den, s = stellar.polyroots._horner(c, x)
+    v, den, s = stellar.polyroots._horner(stellar.polyroots._tables(c), x)
     big = np.abs(x) > 1
     z = np.where(big, 1.0 / np.where(big, x, 1.0), x)
     ze, k = z.astype(np.clongdouble), np.arange(1, n + 1)

@@ -237,6 +237,38 @@ def test_every_rotation_entry_point_refuses_complex_and_non_finite_angles(entry,
             ROTATION_ENTRY_POINTS[entry](angles)
 
 
+# BAD_ANGLES' values, as the one angle wigner_small_d takes
+BAD_BETAS = {
+    "complex": (1j, TypeError),
+    "complex-real-valued": (0.5 + 0j, TypeError),
+    "nan": (np.nan, ValueError),
+    "inf": (np.inf, ValueError),
+    "-inf": (-np.inf, ValueError),
+}
+
+
+@pytest.mark.parametrize("form", ["python", "numpy", "stack"])
+@pytest.mark.parametrize("bad", BAD_BETAS)
+@pytest.mark.parametrize("two_S", [1, 3])
+def test_small_d_refuses_complex_and_non_finite_beta(two_S, bad, form):
+    beta, error = BAD_BETAS[bad]
+    beta = {"python": beta, "numpy": np.array(beta), "stack": np.array([0.5, beta])}[form]
+    if form == "stack" and two_S == 3:
+        error = TypeError  # stacks only at 2S = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        with pytest.raises(error, match="Euler"):
+            wigner_small_d(two_S, beta)
+
+
+def test_small_d_stacks_betas_at_spin_half():
+    betas = np.array([[0.5, 1.0], [-2.0, 3]])
+    stack = wigner_small_d(1, betas)
+    assert stack.shape == (2, 2, 2, 2)
+    for index in np.ndindex(betas.shape):
+        np.testing.assert_array_equal(stack[index], wigner_small_d(1, float(betas[index])))
+
+
 @pytest.mark.parametrize("entry", ROTATION_ENTRY_POINTS)
 def test_integer_and_float32_angles_are_read_as_float64(entry):
     def call(angles):  # a state's amplitudes, or the matrix itself
