@@ -148,17 +148,71 @@ def geodesic_distance(p: BlochPoint, q: BlochPoint) -> float:
     return float(_angle(to_cartesian(p), to_cartesian(q)))
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-total assignment of a square cost matrix.
+
+    Column reduction first: v_j = min_i c_ij, and each column proposes its
+    cheapest row. If no two columns propose one row, that assignment is optimal
+    by complementary slackness (u = 0, and every assigned c_ij - v_j is 0).
+    Each row left free then gets one shortest augmenting path: Dijkstra on the
+    reduced costs c_ij - u_i - v_j >= 0, then a dual update (Jonker & Volgenant,
+    Computing 38 (1987) 325-340, in the form of Crouse, IEEE TAES 52 (2016)
+    1679-1696, the scheme scipy's linear_sum_assignment implements in C). The
+    result is exact, so where the optimum is unique it is scipy's. Among equally
+    near columns a free one ends the path; without that, n coincident points
+    take O(n^2) Dijkstra steps, not O(n).
+    """
+    n = cost.shape[0]
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    if n == 0:  # argmin has no empty reduction
+        return col4row
+    col4row[cost.argmin(axis=0)] = np.arange(n)  # a row proposed twice keeps one column
+    if col4row.min() >= 0:
+        return col4row
+    held = np.flatnonzero(col4row >= 0)
+    row4col[col4row[held]] = held
+    u, v = np.zeros(n), cost.min(axis=0)
+    near, r = np.empty(n), np.empty(n)
+    nearer, path = np.empty(n, dtype=bool), np.empty(n, dtype=int)
+    for start in np.flatnonzero(col4row < 0).tolist():
+        # w is v with -inf at the scanned columns: r reads +inf there, so no later row
+        # moves them, and near is set to +inf there, so argmin passes them over
+        near.fill(np.inf)
+        w, free = v.copy(), np.flatnonzero(row4col < 0)
+        rows, cols, dists = [start], [], [0.0]  # dists[k]: path length to cols[k - 1]
+        while True:
+            i = rows[-1]
+            np.subtract(cost[i], w, out=r)
+            r += dists[-1] - u[i]
+            np.less(r, near, out=nearer)
+            np.copyto(near, r, where=nearer)
+            np.copyto(path, i, where=nearer)
+            j, f = int(near.argmin()), int(free[near[free].argmin()])
+            if near[f] == near[j]:  # the path ends at a free column
+                j = f
+            cols.append(j)
+            dists.append(near[j])
+            near[j], w[j] = np.inf, -np.inf
+            if j == f:
+                break
+            rows.append(int(row4col[j]))
+        step = dists[-1] - np.array(dists)
+        u[rows] += step[:-1]
+        v[cols] -= step[1:]
+        i = -1
+        while i != start:  # flip the path back from the free column j
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+    return col4row
+
+
 def _match(a: Constellation, b: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Optimal assignment (b-indices aligned to a) and the distance matrix."""
     if a.expected_size != b.expected_size:
         raise ValueError("cannot match constellations of different sizes")
-    # deferred so that `import stellar` and the CLI load numpy only
-    from scipy.optimize import linear_sum_assignment
-
     dist = _angle(to_cartesian(a).T[:, :, None], to_cartesian(b).T[:, None, :])
-    # square cost matrix: the row indices come back as arange(n)
-    _, cols = linear_sum_assignment(dist)
-    return cols, dist
+    return _assign(dist), dist
 
 
 def match_constellations(a: Constellation, b: Constellation) -> np.ndarray:

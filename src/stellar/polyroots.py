@@ -117,6 +117,8 @@ def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
 
 
 _EPS = np.finfo(float).eps
+# rows of the Aberth pairwise step formed at once: a cache tile, (64, n) float64 arrays
+_ROWS = 64
 
 
 def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
@@ -216,11 +218,17 @@ def _aberth(coeffs: np.ndarray, tables, max_iterations: int) -> np.ndarray:
         for _ in range(max_iterations):
             xl = x[live]
             v, den, s = _horner(tables, xl)
-            # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals
-            dr, di = xl.real[:, None] - x.real, xl.imag[:, None] - x.imag
-            sq = dr * dr + di * di
-            sq[np.arange(live.size), live] = np.inf
-            sums = (dr / sq).sum(axis=1) - 1j * (di / sq).sum(axis=1)
+            # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals, for
+            # _ROWS live roots at a time, so that no (live, n) array is formed
+            sums = np.empty(live.size, dtype=complex)
+            for at in range(0, live.size, _ROWS):
+                block = slice(at, at + _ROWS)
+                dr, di = xl.real[block, None] - x.real, xl.imag[block, None] - x.imag
+                sq = dr * dr + di * di
+                sq[np.arange(dr.shape[0]), live[block]] = np.inf
+                dr /= sq
+                di /= sq
+                sums[block] = dr.sum(axis=1) - 1j * di.sum(axis=1)
             # the Aberth step N / (1 - N sums), N = v / den, with one division;
             # a value that rounds to zero gives a step of exactly zero
             den -= v * sums

@@ -55,12 +55,13 @@ class EulerAngles(NamedTuple):
     gamma: float
 
 
-def _euler(angles, shape: tuple[int, ...] | None = (3,)) -> np.ndarray:
-    """The Euler angles as one float64 array of the given shape, or of any shape
-    (3, ...) for None; the one place that decides which angles are valid."""
+def _euler(angles, shape: tuple = (3,)) -> np.ndarray:
+    """The Euler angles as one float64 array of the given shape, where a last
+    ... stands for any further axes: (3, ...) is a stack of triples, (...,) any
+    shape. The one place that decides which angles are valid."""
     try:
         a = np.asarray(angles)
-        fits = a.shape == shape or shape is None and a.shape[:1] == (3,)
+        fits = a.shape == shape or shape[-1:] == (...,) and a.shape[: len(shape) - 1] == shape[:-1]
         real = a.dtype.kind in "biuf" and fits
     except ValueError:  # ragged
         real = False
@@ -89,7 +90,7 @@ def _sy_eigenvectors(two_S: int) -> np.ndarray:
 def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     """Real small-d matrix d^S_{M'M}(beta), descending M order both ways. beta is
     read as an Euler angle; at two_S = 1 it may be an array, giving a stack."""
-    return _small_d(two_S, _euler(beta, np.shape(beta) if two_S == 1 else ()))
+    return _small_d(two_S, _euler(beta, (...,) if two_S == 1 else ()))
 
 
 def _small_d(two_S: int, beta: np.ndarray) -> np.ndarray:
@@ -113,7 +114,11 @@ def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
     """Unitary z-y-z rotation matrix for spin S, descending-M storage. At two_S = 1
     the three angles may be arrays of one shape, giving a stack of shape + (2, 2)."""
-    alpha, beta, gamma = _euler(angles, None if two_S == 1 else (3,))
+    return _wigner_D(two_S, *_euler(angles, (3, ...) if two_S == 1 else (3,)))
+
+
+def _wigner_D(two_S: int, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """wigner_D for angles already read by _euler."""
     m = np.arange(0.5 * two_S, -0.5 * two_S - 1, -1.0)  # M = S, S - 1, ..., -S
     d = _small_d(two_S, beta)
     return (np.exp(np.multiply.outer(-1j * alpha, m))[..., :, None] * d
@@ -141,7 +146,7 @@ def rotate_qubits(state: PureState, per_qubit_angles: list[EulerAngles]) -> Pure
         raise ValueError(f"need {n} angle triples, got {len(per_qubit_angles)}")
     amplitudes = state.amplitudes
     # turn the lowest bit, then move it to the top; n such steps turn bit j by triple j
-    for u in wigner_D(1, _euler(per_qubit_angles, (n, 3)).T):
+    for u in _wigner_D(1, *_euler(per_qubit_angles, (n, 3)).T):
         amplitudes = np.einsum("ab,ib->ai", u, amplitudes.reshape(-1, 2)).reshape(-1)
     return PureState(n, amplitudes)
 

@@ -21,12 +21,17 @@ so agreement with the package is evidence rather than tautology.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
+import stellar
 from stellar import (
     BlochPoint,
     Constellation,
@@ -50,6 +55,23 @@ EQUATORIAL_TRIPLE = (
 )
 
 QUARTER_TURN_Y = (0.0, np.pi / 2, 0.0)
+
+
+def fresh_python(code: str, *args: str) -> dict:
+    """The JSON that code prints when run with args in a new interpreter, which
+    imports this checkout's stellar and starts with nothing loaded."""
+    src = str(Path(stellar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def entangled_pair() -> PureState:

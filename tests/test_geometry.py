@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from stellar import (
     BlochPoint,
@@ -184,6 +186,7 @@ def test_matching_reports_true_displacement():
 def test_matching_of_two_empty_constellations_is_zero():
     empty = Constellation((), 0)
     assert matching_max_distance(empty, empty) == 0.0
+    assert match_constellations(empty, empty).shape == (0,)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -215,6 +218,57 @@ def test_assignment_recovers_large_shuffles(n):
     a = helpers.make_constellation(pts_a)
     b = helpers.make_constellation(pts_b)
     assert matching_max_distance(a, b) <= 1e-12
+
+
+# The assignment solver against scipy's linear_sum_assignment, which implements
+# the same shortest-augmenting-path scheme in C.
+
+
+def _assert_optimal(cost, perm):
+    """perm is a permutation whose total is scipy's; returns scipy's permutation."""
+    n = cost.shape[0]
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+    _, expected = linear_sum_assignment(cost)
+    best = cost[np.arange(n), expected].sum()
+    assert abs(cost[np.arange(n), perm].sum() - best) <= 1e-12 * max(1.0, best)
+    return expected
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    kind=st.sampled_from(["continuous", "ties", "scaled"]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-300, 300),
+)
+def test_assignment_solver_agrees_with_scipy(n, kind, seed, k):
+    rng = np.random.default_rng(seed)
+    cost = {
+        "continuous": rng.standard_normal((n, n)),
+        "ties": rng.integers(0, 4, (n, n)).astype(float),  # many optimal assignments
+        "scaled": rng.uniform(0.0, np.pi, (n, n)) * 10.0**k,
+    }[kind]
+    perm = geometry._assign(cost)
+    expected = _assert_optimal(cost, perm)
+    if kind != "ties":  # a continuous draw has one optimum
+        np.testing.assert_array_equal(perm, expected)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.01])
+@pytest.mark.parametrize("n", [255, 1023])
+@pytest.mark.parametrize("family", ["coherent", "dicke"])
+def test_assignment_of_coincident_points_agrees_with_scipy(family, n, jitter):
+    # every source point at one direction, or k at the north pole and the rest at the
+    # south pole, against the rotated copy, jittered and shuffled: the rows of the
+    # distance matrix repeat, and without jitter its entries tie
+    rng = np.random.default_rng(35 + n)
+    k = n if family == "coherent" else 2 * n // 3
+    a = helpers.make_constellation([(1.1, 2.3) if family == "coherent" else (0.0, 0.0)] * k
+                                   + [(np.pi, 0.0)] * (n - k))
+    moved = to_cartesian(rotate_constellation(a, so3_matrix(EulerAngles(0.3, 1.1, 2.0))))
+    b = geometry._from_cartesian((moved + jitter * rng.standard_normal((n, 3)))[rng.permutation(n)])
+    perm = match_constellations(a, b)
+    _assert_optimal(geometry._match(a, b)[1], perm)
 
 
 # The array path against the point-by-point oracles in helpers: exact equality.

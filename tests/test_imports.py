@@ -1,18 +1,15 @@
-"""scipy stays out of the import graph until a point matching needs it.
+"""No stellar call loads scipy, point matching included, and the package does
+not depend on it: scipy is a test oracle only.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded already (the oracles in helpers use it).
 """
 
-import json
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import numpy as np
 
-import stellar
 from stellar import (
     constellation_to_json,
     majorana_constellation,
@@ -48,36 +45,21 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 _MATCHING = """
 import json, sys
 import numpy as np
-from stellar import BlochPoint, Constellation, matching_max_distance
+from stellar import BlochPoint, Constellation, match_constellations, matching_max_distance
 
-before = "scipy" in sys.modules
 rng = np.random.default_rng(33)
 distances = []
-for n in (3, 8, 9, 20):
+for n in (0, 3, 8, 9, 20, 255):
     thetas = np.arccos(rng.uniform(-1, 1, n))
     phis = rng.uniform(0, 2 * np.pi, n)
     pts = [BlochPoint(float(t), float(p)) for t, p in zip(thetas, phis)]
-    shuffled = [pts[i] for i in rng.permutation(n)]
-    distances.append(matching_max_distance(Constellation(tuple(pts), n),
-                                           Constellation(tuple(shuffled), n)))
-print(json.dumps({"before": before, "after": "scipy" in sys.modules,
-                  "distances": distances}))
+    shuffle = rng.permutation(n)
+    a, b = Constellation(tuple(pts), n), Constellation(tuple(pts[i] for i in shuffle), n)
+    assert (shuffle[match_constellations(a, b)] == np.arange(n)).all()
+    distances.append(matching_max_distance(a, b))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"scipy": scipy, "distances": distances}))
 """
-
-
-def _fresh_python(code: str, *args: str) -> dict:
-    src = str(Path(stellar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 def test_cli_subcommands_never_load_scipy(tmp_path):
@@ -89,13 +71,18 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
         constellation_to_json(majorana_constellation(spin_from_qubits(pair)))
     )
     demo = tmp_path / "demo"
-    result = _fresh_python(_CLI_CALLS, str(state), str(constellation), str(demo))
+    result = helpers.fresh_python(_CLI_CALLS, str(state), str(constellation), str(demo))
     assert result["codes"] == [0] * 7
     assert result["scipy"] == []
 
 
-def test_hungarian_matching_loads_scipy_on_demand():
-    result = _fresh_python(_MATCHING)
-    assert result["before"] is False
-    assert result["after"] is True
+def test_matching_never_loads_scipy():
+    result = helpers.fresh_python(_MATCHING)
+    assert result["scipy"] == []
     assert np.max(result["distances"]) <= 1e-12
+
+
+def test_scipy_is_not_a_dependency():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (dependencies,) = re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', dependencies) == ["numpy"]

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -382,3 +383,29 @@ def test_iteration_limit_still_raises_on_a_large_polynomial():
     state = helpers.random_state(np.random.default_rng(67), 7)
     with pytest.raises(RootFindingError, match="best residual"):
         find_roots(ComplexPolynomial(state.amplitudes), max_iterations=1)
+
+
+# the child's own resident high-water mark: ru_maxrss would carry the test process's
+# over fork and exec
+_ELEVEN_QUBIT_PEAK = """
+import json
+import numpy as np
+from stellar import PureState, alt_constellation
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+a = np.random.default_rng(1011).standard_normal((2048, 2))
+state = PureState(11, a[:, 0] + 1j * a[:, 1])
+before = peak_mb()
+alt_constellation(state)
+print(json.dumps(peak_mb() - before))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_eleven_qubit_root_finding_forms_no_live_by_n_array():
+    # the Aberth step's (live, n) float64 arrays were 32 MB each at n = 2047, and the
+    # call's peak rose by about 160 MB; in blocks of 64 rows it rises by about 11 MB
+    assert helpers.fresh_python(_ELEVEN_QUBIT_PEAK) <= 30.0

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stellar.rotations
 from stellar import (
     EulerAngles,
     SpinState,
@@ -259,6 +260,22 @@ def test_small_d_refuses_complex_and_non_finite_beta(two_S, bad, form):
         warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
         with pytest.raises(error, match="Euler"):
             wigner_small_d(two_S, beta)
+
+
+@pytest.mark.parametrize("two_S", [1, 3])
+def test_small_d_refuses_a_ragged_beta_as_the_reader_does(two_S):
+    with pytest.raises(TypeError, match="Euler"):
+        wigner_small_d(two_S, [0.1, [0.2, 0.3]])
+
+
+def test_qubit_rotation_reads_its_angles_once(monkeypatch):
+    reads = []
+    read = stellar.rotations._euler
+    monkeypatch.setattr(stellar.rotations, "_euler", lambda *a: reads.append(a) or read(*a))
+    state = helpers.random_state(np.random.default_rng(71), 3)
+    rotate_qubits(state, [QUARTER] * 3)
+    wigner_D(1, QUARTER)
+    assert len(reads) == 2
 
 
 def test_small_d_stacks_betas_at_spin_half():
