@@ -57,19 +57,34 @@ EQUATORIAL_TRIPLE = (
 QUARTER_TURN_Y = (0.0, np.pi / 2, 0.0)
 
 
-def fresh_python(code: str, *args: str) -> dict:
-    """The JSON that code prints when run with args in a new interpreter, which
-    imports this checkout's stellar and starts with nothing loaded."""
+def fresh_python(*argv: str, cwd=None, env=None, stdin=None, timeout=120):
+    """A new interpreter run on argv to the end, with text output captured.
+
+    It imports this checkout's stellar and starts with nothing loaded. env's
+    entries override the environment's, and a None value unsets one; stdin is
+    the text piped in.
+    """
     src = str(Path(stellar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env,
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    for name, value in (env or {}).items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
+        env=full,
+        input=stdin,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
+
+
+def fresh_json(code: str, *args: str, **launch):
+    """The JSON that code prints when run with args by fresh_python."""
+    done = fresh_python("-c", code, *args, **launch)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 

@@ -13,17 +13,12 @@ at N >= 2 (2S > 1) is left out: its eigh and matrix products go through
 LAPACK and BLAS, and their last bits do move with the kernel.
 """
 
-import json
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stellar
 from stellar import state_to_json
 
 import helpers
@@ -68,23 +63,10 @@ print(json.dumps(digests))
 
 
 def _digests(inputs: Path, work: Path, coretype: str | None, group: str) -> dict:
-    src = str(Path(stellar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
     work.mkdir()
-    done = subprocess.run(
-        [sys.executable, "-c", _CALLS, str(inputs), group],
-        cwd=work,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    return helpers.fresh_json(
+        _CALLS, str(inputs), group, cwd=work, env={"OPENBLAS_CORETYPE": coretype}, timeout=300
     )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 X86_64_ONLY = pytest.mark.skipif(

@@ -1,12 +1,8 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +36,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def pipe(capsys, monkeypatch, argv, text):
+    """main(argv) with text on stdin, in this process."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, argv)
+
+
 def test_points_majorana_matches_library(tmp_path, capsys, ent_pair):
     path = write_state(tmp_path, ent_pair)
     code, out, _ = run(capsys, ["points", path])
@@ -59,8 +61,7 @@ def test_points_alt_encoding(tmp_path, capsys, ent_pair, product_pair):
 
 
 def test_points_reads_stdin(tmp_path, capsys, monkeypatch, ent_pair):
-    monkeypatch.setattr("sys.stdin", io.StringIO(state_to_json(ent_pair)))
-    code, out, _ = run(capsys, ["points", "-"])
+    code, out, _ = pipe(capsys, monkeypatch, ["points", "-"], state_to_json(ent_pair))
     assert code == 0
     assert constellation_from_json(out).expected_size == 3
 
@@ -255,13 +256,7 @@ def test_non_finite_amplitude_exits_two(tmp_path, capsys, encoding):
 def pipe_fresh(argv, text):
     """text piped into a fresh `python -m stellar.cli` process, so an uncaught
     exception would show as a traceback on stderr."""
-    src = str(Path(stellar.cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "stellar.cli", *argv],
-        input=text, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return helpers.fresh_python("-m", "stellar.cli", *argv, stdin=text)
 
 
 def run_fresh(argv, n_qubits, seed):
@@ -342,14 +337,23 @@ DEEP_STATE = '{"n_qubits": 1, "amplitudes": ' + DEEP + "}"
             ["points", "-", "--encoding", "alt"],
             '{"n_qubits": 1, "amplitudes": [["1.5", true], [0, "-2e0"]]}',
         ),
+        (
+            ["points", "-", "--encoding", "alt"],
+            '{"n_qubits": 1, "amplitudes": [["1.5", 0], [0, 1]]}',
+        ),
         (["render", "-"], '{"expected_size": 1, "points": [{"theta": "1.0", "phi": false}]}'),
+        (["render", "-"], '{"expected_size": 1, "points": [{"theta": 1.0, "phi": false}]}'),
         # nesting beyond the JSON parser's recursion limit
         (["points", "-"], DEEP),
+        (["points", "-"], DEEP_STATE),
         (["render", "-"], DEEP),
         (["check-sep", "-"], DEEP_STATE),
         (["rotate", "-", "--mode", "spin", "--angles", "0,1,2"], DEEP_STATE),
     ],
-    ids=["state", "constellation", "deep-points", "deep-render", "deep-check-sep", "deep-rotate"],
+    ids=[
+        "state", "state-string", "constellation", "constellation-phi", "deep-points",
+        "deep-points-state", "deep-render", "deep-check-sep", "deep-rotate",
+    ],
 )
 def test_strings_and_booleans_are_not_numbers(argv, text):
     proc = pipe_fresh(argv, text)
@@ -363,6 +367,68 @@ def test_ten_qubit_majorana_points_exit_zero_without_traceback():
     points = helpers.strict_json(proc.stdout)["points"]
     assert len(points) == 1023
     assert all(0.0 < p["theta"] < np.pi for p in points)
+
+
+@pytest.fixture(scope="module")
+def ten_qubit_texts():
+    """A 10-qubit Gaussian state (seed 10) and a 10-qubit product state of Gaussian
+    factors (seed 9048), each as json.dumps of its [re, im] pairs plus a newline."""
+    gaussian = np.random.default_rng(10).standard_normal((1024, 2)).tolist()
+    product = helpers.product_state(helpers.product_factors(9048)).amplitudes.tolist()
+    product = [[z.real, z.imag] for z in product]
+    return tuple(json.dumps({"n_qubits": 10, "amplitudes": a}) + "\n" for a in (gaussian, product))
+
+
+def strict_indent_2(text):
+    """The strict parse of text, which must be the standard library's indent-2
+    encoding of that parse."""
+    doc = helpers.strict_json(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["spin", "qubits"])
+def test_ten_qubit_rotation_round_trip(capsys, monkeypatch, ten_qubit_texts, mode):
+    state = ten_qubit_texts[0]
+    rotate = ["rotate", "-", "--mode", mode]
+    code, rotated, _ = pipe(capsys, monkeypatch, rotate + ["--angles", "0.3,1.1,2.0"], state)
+    assert code == 0
+    # the inverse rotation; the = form keeps argparse from reading -2.0,... as a flag
+    code, back, _ = pipe(capsys, monkeypatch, rotate + ["--angles=-2.0,-1.1,-0.3"], rotated)
+    assert code == 0
+    a = np.array(helpers.strict_json(state)["amplitudes"])
+    r, b = (np.array(strict_indent_2(text)["amplitudes"]) for text in (rotated, back))
+    assert r.shape == (1024, 2), r.shape
+    d = b - a
+    err = np.hypot(d[:, 0], d[:, 1]).max()
+    assert err <= 1e-10, err
+
+
+@pytest.mark.parametrize(
+    "which, encoding",
+    [(0, "majorana"), (0, "alt"), (1, "alt")],
+    ids=["majorana", "alt", "product-alt"],
+)
+def test_ten_qubit_points_count_and_render(capsys, monkeypatch, ten_qubit_texts, which, encoding):
+    argv, text = ["points", "-", "--encoding", encoding], ten_qubit_texts[which]
+    code, out, _ = pipe(capsys, monkeypatch, argv, text)
+    assert code == 0
+    count = len(strict_indent_2(out)["points"])
+    assert count == 1023, count
+    code, _, _ = pipe(capsys, monkeypatch, ["render", "-"], out)
+    assert code == 0
+
+
+def test_ten_qubit_check_sep_verdicts(capsys, monkeypatch, ten_qubit_texts):
+    verdicts = []
+    for text in ten_qubit_texts:
+        code, out, _ = pipe(capsys, monkeypatch, ["check-sep", "-"], text)
+        assert code == 0
+        verdicts.append(strict_indent_2(out))
+    entangled, product = verdicts
+    assert entangled["separable"] is False and entangled["factors"] is None, entangled
+    assert product["separable"] is True, product["residual"]
+    assert len(product["factors"]) == 10, len(product["factors"])
 
 
 def test_eleven_qubit_majorana_points_exits_two_naming_the_limit():

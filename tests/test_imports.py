@@ -71,13 +71,13 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
         constellation_to_json(majorana_constellation(spin_from_qubits(pair)))
     )
     demo = tmp_path / "demo"
-    result = helpers.fresh_python(_CLI_CALLS, str(state), str(constellation), str(demo))
+    result = helpers.fresh_json(_CLI_CALLS, str(state), str(constellation), str(demo))
     assert result["codes"] == [0] * 7
     assert result["scipy"] == []
 
 
 def test_matching_never_loads_scipy():
-    result = helpers.fresh_python(_MATCHING)
+    result = helpers.fresh_json(_MATCHING)
     assert result["scipy"] == []
     assert np.max(result["distances"]) <= 1e-12
 

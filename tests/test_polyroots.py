@@ -408,4 +408,4 @@ print(json.dumps(peak_mb() - before))
 def test_eleven_qubit_root_finding_forms_no_live_by_n_array():
     # the Aberth step's (live, n) float64 arrays were 32 MB each at n = 2047, and the
     # call's peak rose by about 160 MB; in blocks of 64 rows it rises by about 11 MB
-    assert helpers.fresh_python(_ELEVEN_QUBIT_PEAK) <= 30.0
+    assert helpers.fresh_json(_ELEVEN_QUBIT_PEAK) <= 30.0
