@@ -7,6 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .states import _count
+
 __all__ = [
     "BlochPoint",
     "Constellation",
@@ -51,6 +53,7 @@ class Constellation:
         return c
 
     def _store(self, thetas, phis, expected_size: int) -> None:
+        expected_size = _count(expected_size, "expected_size")
         thetas, phis = np.array(thetas, dtype=float), np.array(phis, dtype=float)
         if thetas.size != expected_size:
             raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
@@ -111,6 +114,8 @@ def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Con
     Each missing leading degree is a root at infinity, one south-pole point,
     so the constellation always carries expected_size points.
     """
+    leading_deficiency = _count(leading_deficiency, "leading_deficiency")
+    expected_size = _count(expected_size, "expected_size")
     roots = np.asarray(roots, dtype=complex)
     if roots.shape[0] + leading_deficiency != expected_size:
         raise ValueError(

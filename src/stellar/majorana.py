@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import BlochPoint, Constellation, points_from_roots
 from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
-from .states import PureState, SpinState, spin_from_qubits
+from .states import PureState, SpinState, _count, spin_from_qubits
 
 __all__ = [
     "Spinor",
@@ -48,10 +48,14 @@ class Spinor(NamedTuple):
 _MAX_TWO_S = 1029
 
 
-@lru_cache(maxsize=64)
 def sqrt_binomials(n: int) -> np.ndarray:
     """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded
     once. The row is cached per n and returned read-only."""
+    return _sqrt_binomials(_count(n, "n"))
+
+
+@lru_cache(maxsize=64)
+def _sqrt_binomials(n: int) -> np.ndarray:
     if n > _MAX_TWO_S:
         raise ValueError(
             f"Majorana weights need 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Constellation, to_cartesian
+from .states import _count
 
 __all__ = ["RenderSpec", "render_svg"]
 
@@ -31,6 +32,7 @@ class RenderSpec:
     point_radius_px: float = 6.0
 
     def __post_init__(self):
+        object.__setattr__(self, "size_px", _count(self.size_px, "size_px"))
         if self.projection not in ("front", "top"):
             raise ValueError(f"unknown projection {self.projection!r}")
         if not _MIN_SIZE <= self.size_px <= sys.float_info.max:  # geometry is float64

@@ -12,8 +12,11 @@ The small-d matrix is I + W diag(expm1(-i beta m)) W^H, W the eigenvectors of
 S_y at their exact eigenvalues m = -S..S (Feng, Wang, Yang & Jin, "Exact
 computation of the Wigner d-matrix", Phys. Rev. E 92, 043307, 2015).
 
-At 2S = 1 wigner_D builds the matrices rotate_qubits applies in one vectorised
-pass, each applied by one np.einsum, never BLAS; rotate_spin there is that apply.
+At 2S = 1 the closed form, in the private builder behind wigner_D, makes all
+the matrices rotate_qubits applies in one vectorised pass, each applied by one
+np.einsum, never BLAS; rotate_spin there is that apply. The public wigner_D at
+2S = 1 also takes arrays of angles and returns such a stack; no library path
+calls that form.
 At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
 rotate_spin applies it to a state, never forming the matrix; wigner_small_d
 applies it to the identity, at twice one dense product's cost. Under
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Constellation, _from_cartesian, to_cartesian
-from .states import PureState, SpinState
+from .states import PureState, SpinState, _count
 
 __all__ = [
     "EulerAngles",
@@ -90,6 +93,7 @@ def _sy_eigenvectors(two_S: int) -> np.ndarray:
 def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     """Real small-d matrix d^S_{M'M}(beta), descending M order both ways. beta is
     read as an Euler angle; at two_S = 1 it may be an array, giving a stack."""
+    two_S = _count(two_S, "two_S")
     return _small_d(two_S, _euler(beta, (...,) if two_S == 1 else ()))
 
 
@@ -114,6 +118,7 @@ def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
 def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
     """Unitary z-y-z rotation matrix for spin S, descending-M storage. At two_S = 1
     the three angles may be arrays of one shape, giving a stack of shape + (2, 2)."""
+    two_S = _count(two_S, "two_S")
     return _wigner_D(two_S, *_euler(angles, (3, ...) if two_S == 1 else (3,)))
 
 
@@ -182,9 +187,19 @@ def so3_matrix(angles: EulerAngles) -> np.ndarray:
     return _rz(-alpha) @ _ry(beta) @ _rz(-gamma)
 
 
+# how far from orthogonal with determinant 1 a matrix given as a rotation may be
+_SO3_TOL = 1e-10
+
+
 def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
-    """Euler triple with so3_matrix(result) equal to the given rotation."""
+    """Euler triple with so3_matrix(result) equal to the given rotation. The
+    matrix must be a finite 3 x 3 rotation: every entry of R^T R - I, and
+    det R - 1, within 1e-10 of zero. Any other matrix raises ValueError."""
     r = np.asarray(matrix, dtype=float)
+    if not (r.shape == (3, 3) and np.isfinite(r).all()
+            and np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL
+            and abs(np.linalg.det(r) - 1.0) <= _SO3_TOL):
+        raise ValueError("expected a finite 3 x 3 rotation matrix: R^T R = I and det R = 1")
     # standard z-y-z extraction of Rz(a) Ry(b) Rz(c), then flip the z signs
     beta = float(np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2]))
     if np.hypot(r[0, 2], r[1, 2]) < 1e-14:

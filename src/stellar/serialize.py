@@ -17,7 +17,7 @@ import numpy as np
 
 from .altsep import SeparabilityVerdict
 from .geometry import Constellation
-from .states import PureState, make_pure_state
+from .states import PureState, _count, make_pure_state
 
 __all__ = [
     "InputFormatError",
@@ -74,12 +74,12 @@ def _load(text: str) -> Any:
         raise InputFormatError("JSON nested too deeply to parse") from exc
 
 
-def _count(doc: dict, key: str) -> int:
+def _json_count(doc: dict, key: str) -> int:
     """doc[key], which must be a JSON integer: not a float, not a bool."""
-    value = doc[key]
-    if type(value) is not int:
-        raise InputFormatError(f"{key} must be a JSON integer")
-    return value
+    try:
+        return _count(doc[key], key)
+    except TypeError as exc:
+        raise InputFormatError(f"{key} must be a JSON integer") from exc
 
 
 def _float(value) -> float:
@@ -99,7 +99,7 @@ def state_from_json(text: str) -> PureState:
     if not isinstance(doc, dict):
         raise InputFormatError("state document must be a JSON object")
     try:
-        n = _count(doc, "n_qubits")
+        n = _json_count(doc, "n_qubits")
         raw = doc["amplitudes"]
     except KeyError as exc:
         raise InputFormatError(f"missing state field: {exc}") from exc
@@ -128,7 +128,7 @@ def constellation_from_json(text: str) -> Constellation:
     if not isinstance(doc, dict):
         raise InputFormatError("constellation document must be a JSON object")
     try:
-        size = _count(doc, "expected_size")
+        size = _json_count(doc, "expected_size")
         angles = [(_float(p["theta"]), _float(p["phi"])) for p in doc["points"]]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"missing or malformed constellation field: {exc}") from exc

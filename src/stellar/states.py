@@ -38,6 +38,15 @@ __all__ = [
 DEFAULT_RAY_TOL = 1e-10
 
 
+def _count(value, name: str) -> int:
+    """value as a Python int: it must be an int or a numpy integer, not a bool
+    (numpy's included), a float or a string. The one place that decides which
+    sizes and indices are valid; their ranges are checked where they are used."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{name} must be an integer, got {value!r:.40}")
+
+
 def _set_amplitudes(state, fits, expected: str) -> None:
     """Store a read-only complex copy of state.amplitudes: a length that fits,
     finite, not all zero; expected describes the length in the error."""
@@ -60,7 +69,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
+        n = _count(self.n_qubits, "n_qubits")
+        object.__setattr__(self, "n_qubits", n)
         if n < 1:
             raise ValueError("need at least one qubit")
         # 2^n is formed only for an n below the bit length of the count m
@@ -82,10 +92,12 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.two_S < 1:
+        two_S = _count(self.two_S, "two_S")
+        object.__setattr__(self, "two_S", two_S)
+        if two_S < 1:
             raise ValueError("two_S must be a positive integer")
-        size = self.two_S + 1
-        _set_amplitudes(self, lambda m: m == size, f"{size} amplitudes for two_S={self.two_S}")
+        size = two_S + 1
+        _set_amplitudes(self, lambda m: m == size, f"{size} amplitudes for two_S={two_S}")
 
     def __reduce__(self):  # copies and unpickled states are rebuilt, so checked and read-only
         return SpinState, (self.two_S, self.amplitudes)
@@ -98,7 +110,7 @@ class BasisLabel:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(_count(b, "bit") for b in self.bits)
         object.__setattr__(self, "bits", bits)
         if len(bits) < 1:
             raise ValueError("empty basis label")
@@ -118,6 +130,7 @@ def decimal_index(label: BasisLabel) -> int:
 
 def label_from_index(index: int, n_qubits: int) -> BasisLabel:
     """Inverse of decimal_index for a register of n_qubits."""
+    index, n_qubits = _count(index, "index"), _count(n_qubits, "n_qubits")
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"index {index} out of range for {n_qubits} qubits")
     return BasisLabel(tuple((index >> j) & 1 for j in range(n_qubits)))
@@ -180,7 +193,10 @@ def ray_fidelity(a, b) -> float:
 
 
 def rays_equal(a, b, tol: float = DEFAULT_RAY_TOL) -> bool:
-    """Whether two amplitude vectors agree up to one global complex scale."""
+    """Whether two amplitude vectors agree up to one global complex scale. A NaN
+    or negative tol is refused with ValueError."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     ab, aa, bb = _overlap_terms(a, b)
     # Cauchy-Schwarz defect normalized to the vector norms
-    return aa * bb - abs(ab) ** 2 <= tol * aa * bb
+    return bool(aa * bb - abs(ab) ** 2 <= tol * aa * bb)

@@ -1,4 +1,5 @@
-"""CLI bytes do not depend on OpenBLAS's kernel, except rotate --mode spin at N >= 2.
+"""CLI bytes do not depend on OpenBLAS's kernel, except rotate --mode spin at N >= 2,
+and the qubit outputs do not depend on numpy's AVX-512 kernels either.
 
 numpy's OpenBLAS picks its kernels by CPU at start-up, and
 OPENBLAS_CORETYPE overrides that choice for one process. The same calls run
@@ -11,6 +12,14 @@ on entangled and product states up to N = 10 and rotate --mode spin at
 N = 1. These are the CI workflow's only Prescott checks. rotate --mode spin
 at N >= 2 (2S > 1) is left out: its eigh and matrix products go through
 LAPACK and BLAS, and their last bits do move with the kernel.
+
+numpy picks its own SIMD kernels by CPU at start-up too, and
+NPY_DISABLE_CPU_FEATURES turns targets off for one process. The qubit
+calls run a third time with the AVX-512 targets off, which a CPU without
+AVX-512 does not have to begin with, and must hash the same as the native
+run. The points calls are left out of that run, since their bytes do
+depend on numpy's SIMD target; so is turning AVX2 (X86_V3) off as well,
+under which most of the qubit calls print other bytes.
 """
 
 import platform
@@ -62,11 +71,14 @@ print(json.dumps(digests))
 """
 
 
-def _digests(inputs: Path, work: Path, coretype: str | None, group: str) -> dict:
+# the targets numpy may pick above AVX2 on x86-64
+_NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _digests(inputs: Path, work: Path, coretype: str | None, group: str, env=None) -> dict:
     work.mkdir()
-    return helpers.fresh_json(
-        _CALLS, str(inputs), group, cwd=work, env={"OPENBLAS_CORETYPE": coretype}, timeout=300
-    )
+    env = {"OPENBLAS_CORETYPE": coretype, **(env or {})}
+    return helpers.fresh_json(_CALLS, str(inputs), group, cwd=work, env=env, timeout=300)
 
 
 X86_64_ONLY = pytest.mark.skipif(
@@ -98,5 +110,7 @@ def test_rotate_qubits_and_check_sep_bytes_do_not_depend_on_the_blas_kernel(tmp_
         (tmp_path / f"product{n}.json").write_text(state_to_json(helpers.product_state(factors)))
     native = _digests(tmp_path, tmp_path / "native", None, "qubits")
     generic = _digests(tmp_path, tmp_path / "prescott", "Prescott", "qubits")
+    below_avx512 = _digests(tmp_path, tmp_path / "no-avx512", None, "qubits", _NO_AVX512)
     assert len(native) == 14  # 5 qubit rotations, 8 separability tests, 1 spin-1/2 rotation
     assert generic == native
+    assert below_avx512 == native

@@ -428,6 +428,17 @@ def test_euler_extraction_round_trip():
         np.testing.assert_allclose(so3_matrix(euler_from_so3(r)), r, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.zeros((3, 3)), 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
+     np.eye(2)],
+    ids=["zero", "twice-identity", "reflection", "nan", "2x2"],
+)
+def test_euler_extraction_refuses_matrices_that_are_not_rotations(matrix):
+    with pytest.raises(ValueError, match="rotation"):
+        euler_from_so3(matrix)
+
+
 def test_so3_composition_is_homomorphic():
     rng = np.random.default_rng(65)
     g1, g2 = random_angles(rng), random_angles(rng)

@@ -9,20 +9,29 @@ from stellar import (
     BlochPoint,
     ComplexPolynomial,
     Constellation,
+    InputFormatError,
     PureState,
+    RenderSpec,
     SpinState,
     alt_constellation,
     constellation_from_json,
+    constellation_to_json,
     decimal_index,
     find_roots,
     label_from_index,
     majorana_polynomial,
     make_pure_state,
+    points_from_roots,
     qubits_from_spin,
     ray_fidelity,
     rays_equal,
     spin_from_qubits,
+    sqrt_binomials,
+    state_from_json,
+    state_to_json,
     tensor_product,
+    wigner_D,
+    wigner_small_d,
 )
 
 import helpers
@@ -76,6 +85,11 @@ def test_basis_label_validation():
         BasisLabel(())
     with pytest.raises(ValueError):
         BasisLabel((0, 2))
+    # bits are counts: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        BasisLabel((0.5, 1))
+    with pytest.raises(TypeError):
+        BasisLabel((1.9,))
 
 
 def test_decimal_index_low_bit_is_qubit_zero():
@@ -320,3 +334,87 @@ def test_root_results_compare_by_identity():
     first, second = find_roots(p), find_roots(p)
     assert first == first and (first == second) is False
     assert isinstance(hash(first), int)
+
+
+# Each public entry that takes a count: a count it accepts, and a call on a count k
+# returning the counts its result holds, as a tuple, or the array it returns. The
+# call's other arguments follow int(k), so at a bad k only the count's type is wrong.
+COUNT_ENTRIES = {
+    "PureState": (2, lambda k: (PureState(k, np.ones(2 ** int(k))).n_qubits,)),
+    "SpinState": (3, lambda k: (SpinState(k, np.ones(int(k) + 1)).two_S,)),
+    "BasisLabel": (1, lambda k: BasisLabel((0, k)).bits),
+    "label_from_index-index": (3, lambda k: label_from_index(k, 2).bits),
+    "label_from_index-n_qubits": (2, lambda k: label_from_index(1, k).bits),
+    "Constellation": (
+        2,
+        lambda k: (Constellation([BlochPoint(1.0, 0.5)] * int(k), k).expected_size,),
+    ),
+    "Constellation._of": (
+        2,
+        lambda k: (Constellation._of([1.0] * int(k), [0.5] * int(k), k).expected_size,),
+    ),
+    "points_from_roots-deficiency": (2, lambda k: points_from_roots([0.5], k, int(k) + 1).thetas),
+    "points_from_roots-size": (
+        3,
+        lambda k: (points_from_roots([0.5], int(k) - 1, k).expected_size,),
+    ),
+    "sqrt_binomials": (5, sqrt_binomials),
+    "wigner_small_d-spin-half": (1, lambda k: wigner_small_d(k, 0.3)),
+    "wigner_small_d": (3, lambda k: wigner_small_d(k, 0.3)),
+    "wigner_D-spin-half": (1, lambda k: wigner_D(k, (0.1, 0.2, 0.3))),
+    "wigner_D": (3, lambda k: wigner_D(k, (0.1, 0.2, 0.3))),
+    "RenderSpec": (64, lambda k: (RenderSpec(size_px=k).size_px,)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, 3.0, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "call", [call for _, call in COUNT_ENTRIES.values()], ids=COUNT_ENTRIES.keys()
+)
+def test_counts_that_are_not_integers_raise_type_error(call, bad):
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+@pytest.mark.parametrize("count, call", COUNT_ENTRIES.values(), ids=COUNT_ENTRIES.keys())
+def test_numpy_integer_counts_are_held_as_python_ints(count, call, integer):
+    got, want = call(integer(count)), call(count)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want and all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("literal", ["true", "2.0", "3.0", '"2"'])
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (state_from_json, '{"n_qubits": %s, "amplitudes": [[1, 0], [0, 0], [0, 0], [1, 0]]}'),
+        (constellation_from_json, TWO_POINTS.replace("2", "%s", 1)),
+    ],
+    ids=["n_qubits", "expected_size"],
+)
+def test_json_counts_that_are_not_integers_are_malformed(read, text, literal):
+    with pytest.raises(InputFormatError, match="must be a JSON integer"):
+        read(text % literal)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_containers_of_numpy_integer_counts_write_the_documents_of_python_ints(integer):
+    amplitudes = [1, 2j, -3, 4]
+    text = state_to_json(PureState(integer(2), amplitudes))
+    assert text == state_to_json(PureState(2, amplitudes))
+    assert state_to_json(state_from_json(text)) == text
+    points = [BlochPoint(1.0, 2.0), BlochPoint(0.5, 0.25)]
+    text = constellation_to_json(Constellation(points, integer(2)))
+    assert text == constellation_to_json(Constellation(points, 2))
+    assert constellation_from_json(text) == Constellation(points, 2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300])
+def test_rays_equal_refuses_a_nan_or_negative_tolerance(tol):
+    assert rays_equal([1, 0], [1, 0]) is True and rays_equal([1, 0], [0, 1]) is False
+    with pytest.raises(ValueError, match="tol"):
+        rays_equal([1, 0], [1, 0], tol=tol)
