@@ -123,10 +123,12 @@ def separable_constellation(f: SeparableFactorization) -> Constellation:
 
     Qubit j with b_j != 0 yields 2^j points at tan(theta/2) =
     |a_j / b_j|^(1/2^j) with azimuths (arg(-a_j/b_j) + 2 pi m) / 2^j; a
-    vanishing b_j parks all 2^j points at the south pole.
+    vanishing b_j parks all 2^j points at the south pole; a (0, 0) factor raises.
     """
     thetas, phis = [np.empty(0)], [np.empty(0)]
     for j, (a, b) in enumerate(f.factors):
+        if a == 0 == b:
+            raise ValueError(f"qubit {j} factor is identically zero")
         count = 2**j
         theta, base = np.pi, 0.0
         if b != 0:

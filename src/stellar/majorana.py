@@ -56,9 +56,9 @@ def sqrt_binomials(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _sqrt_binomials(n: int) -> np.ndarray:
-    if n > _MAX_TWO_S:
+    if not 0 <= n <= _MAX_TWO_S:
         raise ValueError(
-            f"Majorana weights need 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"
+            f"Majorana weights need 0 <= 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"
         )
     row, c = [1.0], 1
     for k in range(n):

@@ -20,8 +20,9 @@ calls that form.
 At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
 rotate_spin applies it to a state, never forming the matrix; wigner_small_d
 applies it to the identity, at twice one dense product's cost. Under
-rotate_spin the Majorana points move rigidly by so3_matrix(angles) =
-Rz(-alpha) Ry(beta) Rz(-gamma); tests pin the z signs to the qubit convention.
+rotate_spin the Majorana points move rigidly by so3_matrix(angles), the spin-1/2
+matrix's adjoint action on (sx, -sy, sz), whose -sy is the convention's mirror;
+rotate_constellation and euler_from_so3 refuse any matrix that is not a rotation.
 """
 
 from __future__ import annotations
@@ -167,43 +168,40 @@ def rotate_separable_components(a: complex, b: complex, angles: EulerAngles):
     return tuple(rotate_spin(SpinState(1, [a, b]), angles).amplitudes.tolist())
 
 
-def _rz(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _ry(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]])
 
 
 def so3_matrix(angles: EulerAngles) -> np.ndarray:
-    """Rotation of Cartesian points matching rotate_spin on constellations.
-
-    Equals Rz(-alpha) Ry(beta) Rz(-gamma); the z signs mirror the
-    qubit-component phase convention of wigner_D (see module docstring).
-    """
-    alpha, beta, gamma = _euler(angles)
-    return _rz(-alpha) @ _ry(beta) @ _rz(-gamma)
+    """Rotation of Cartesian points matching rotate_spin on constellations: the
+    action of U = wigner_D(1, angles) on the Pauli vector P = (sx, -sy, sz),
+    R_jk = tr(P_j U P_k U^H) / 2, equal to Rz(-alpha) Ry(beta) Rz(-gamma)."""
+    u = _wigner_D(1, *_euler(angles))
+    return 0.5 * np.einsum("jab,bc,kcd,ad->jk", _PAULI, u, _PAULI, u.conj()).real
 
 
 # how far from orthogonal with determinant 1 a matrix given as a rotation may be
 _SO3_TOL = 1e-10
 
 
-def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
-    """Euler triple with so3_matrix(result) equal to the given rotation. The
-    matrix must be a finite 3 x 3 rotation: every entry of R^T R - I, and
-    det R - 1, within 1e-10 of zero. Any other matrix raises ValueError."""
+def _so3(matrix) -> np.ndarray:
+    """The matrix as float64 if it is a finite 3 x 3 rotation: every entry of
+    R^T R - I, and det R - 1, within 1e-10 of zero. Any other raises ValueError."""
     r = np.asarray(matrix, dtype=float)
-    if not (r.shape == (3, 3) and np.isfinite(r).all()
-            and np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL
-            and abs(np.linalg.det(r) - 1.0) <= _SO3_TOL):
-        raise ValueError("expected a finite 3 x 3 rotation matrix: R^T R = I and det R = 1")
+    if r.shape == (3, 3) and np.isfinite(r).all():
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # det as the rows' triple product
+        det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+        if np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL and abs(det - 1.0) <= _SO3_TOL:
+            return r
+    raise ValueError("not a rotation matrix (non-finite, not 3 x 3, R^T R != I or det R != 1)")
+
+
+def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
+    """Euler triple with so3_matrix(result) equal to the given rotation matrix. A
+    matrix that is not a finite 3 x 3 rotation within 1e-10 raises ValueError."""
+    r = _so3(matrix)
     # standard z-y-z extraction of Rz(a) Ry(b) Rz(c), then flip the z signs
     beta = float(np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2]))
-    if np.hypot(r[0, 2], r[1, 2]) < 1e-14:
-        # gimbal-locked: all z-rotation folded into one angle
+    if np.hypot(r[0, 2], r[1, 2]) < 1e-14:  # gimbal-locked: all z-rotation in one angle
         if r[2, 2] < 0:
             a = float(np.arctan2(-r[1, 0], -r[0, 0]))
             return EulerAngles(-a, np.pi, 0.0)
@@ -215,5 +213,5 @@ def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
 
 
 def rotate_constellation(constellation: Constellation, matrix: np.ndarray) -> Constellation:
-    """Move every point by one SO(3) matrix."""
-    return _from_cartesian(to_cartesian(constellation) @ np.asarray(matrix, dtype=float).T)
+    """Move every point by one rotation matrix; any other, a mirror say, raises ValueError."""
+    return _from_cartesian(to_cartesian(constellation) @ _so3(matrix).T)

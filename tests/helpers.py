@@ -388,6 +388,22 @@ def expm_rotation(two_S: int, angles) -> np.ndarray:
     return expm(-1j * alpha * sz) @ expm(-1j * beta * sy) @ expm(-1j * gamma * sz)
 
 
+def zyz_point_rotation(angles) -> np.ndarray:
+    """Rz(-alpha) Ry(beta) Rz(-gamma) as a product of 3 x 3 axis rotations: the
+    rigid motion of the Majorana points under a spin rotation by angles."""
+
+    def rz(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def ry(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+    alpha, beta, gamma = angles
+    return rz(-alpha) @ ry(beta) @ rz(-gamma)
+
+
 def factorial_sum_small_d(two_S: int, beta: float) -> np.ndarray:
     """Wigner's factorial sum for d^S_{M'M}(beta), descending M both ways.
 

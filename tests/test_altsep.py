@@ -153,6 +153,16 @@ def test_separable_constellation_pole_rules():
     assert all(p.theta == np.pi for p in south.points)
 
 
+@pytest.mark.parametrize("zero_at", [0, 1])
+def test_a_zero_qubit_factor_is_refused_as_reconstruction_refuses_it(zero_at):
+    factors = [(1 + 0j, 1 + 0j)] * 2
+    factors[zero_at] = (0j, 0j)
+    f = SeparableFactorization(tuple(factors), 1.0)
+    for entry in (reconstruct_from_factors, separable_constellation):
+        with pytest.raises(ValueError, match="identically zero"):
+            entry(f)
+
+
 def test_separable_constellation_pattern_law():
     rng = np.random.default_rng(73)
     factors = tuple(

@@ -231,8 +231,9 @@ def test_sqrt_binomials_row_is_cached_read_only():
 
 def test_sqrt_binomials_stop_at_the_float64_limit():
     assert np.all(np.isfinite(sqrt_binomials(1029)))
-    with pytest.raises(ValueError, match="2S <= 1029"):
-        sqrt_binomials(1030)
+    for n in (1030, -3):
+        with pytest.raises(ValueError, match="2S <= 1029"):
+            sqrt_binomials(n)
 
 
 @pytest.mark.parametrize("count", [1, 7, 31, 1023])

@@ -409,6 +409,18 @@ def test_so3_matrix_basics():
     )
 
 
+def test_so3_matrix_matches_the_axis_rotation_product():
+    # so3_matrix is the spin-1/2 matrix's adjoint action; the oracle multiplies
+    # 3 x 3 axis rotations, so the two share no code
+    rng = np.random.default_rng(67)
+    triples = [rng.uniform(-7.0, 7.0, 3) for _ in range(1000)]
+    triples += [(rng.uniform(-7.0, 7.0), beta, rng.uniform(-7.0, 7.0))
+                for beta in (0.0, np.pi) for _ in range(20)]
+    worst = max(np.abs(so3_matrix(EulerAngles(*t)) - helpers.zyz_point_rotation(t)).max()
+                for t in triples)
+    assert worst <= 1e-15
+
+
 def test_so3_matrix_is_special_orthogonal():
     rng = np.random.default_rng(63)
     for _ in range(20):
@@ -434,9 +446,14 @@ def test_euler_extraction_round_trip():
      np.eye(2)],
     ids=["zero", "twice-identity", "reflection", "nan", "2x2"],
 )
-def test_euler_extraction_refuses_matrices_that_are_not_rotations(matrix):
+@pytest.mark.parametrize(
+    "entry",
+    [euler_from_so3, lambda m: rotate_constellation(helpers.make_constellation([(0.3, 0.0)]), m)],
+    ids=["euler_from_so3", "rotate_constellation"],
+)
+def test_matrix_entries_refuse_matrices_that_are_not_rotations(entry, matrix):
     with pytest.raises(ValueError, match="rotation"):
-        euler_from_so3(matrix)
+        entry(matrix)
 
 
 def test_so3_composition_is_homomorphic():
