@@ -184,20 +184,20 @@ _SO3_TOL = 1e-10
 
 
 def _so3(matrix) -> np.ndarray:
-    """The matrix as float64 if it is a finite 3 x 3 rotation: every entry of
+    """The matrix as float64 if it is a real, finite 3 x 3 rotation: every entry of
     R^T R - I, and det R - 1, within 1e-10 of zero. Any other raises ValueError."""
-    r = np.asarray(matrix, dtype=float)
-    if r.shape == (3, 3) and np.isfinite(r).all():
+    r = np.asarray(matrix)
+    if r.shape == (3, 3) and r.dtype.kind in "biuf" and np.isfinite(r).all():
         (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # det as the rows' triple product
         det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
         if np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL and abs(det - 1.0) <= _SO3_TOL:
-            return r
-    raise ValueError("not a rotation matrix (non-finite, not 3 x 3, R^T R != I or det R != 1)")
+            return r.astype(float, copy=False)
+    raise ValueError("not a real 3 x 3 rotation matrix (non-finite, R^T R != I or det R != 1)")
 
 
 def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
     """Euler triple with so3_matrix(result) equal to the given rotation matrix. A
-    matrix that is not a finite 3 x 3 rotation within 1e-10 raises ValueError."""
+    matrix that is not a real, finite 3 x 3 rotation within 1e-10 raises ValueError."""
     r = _so3(matrix)
     # standard z-y-z extraction of Rz(a) Ry(b) Rz(c), then flip the z signs
     beta = float(np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2]))

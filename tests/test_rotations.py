@@ -443,8 +443,8 @@ def test_euler_extraction_round_trip():
 @pytest.mark.parametrize(
     "matrix",
     [np.zeros((3, 3)), 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
-     np.eye(2)],
-    ids=["zero", "twice-identity", "reflection", "nan", "2x2"],
+     np.eye(2), np.eye(3) + 0.5j],
+    ids=["zero", "twice-identity", "reflection", "nan", "2x2", "complex"],
 )
 @pytest.mark.parametrize(
     "entry",
