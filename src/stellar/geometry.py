@@ -111,15 +111,15 @@ def bloch_point(theta: float, phi: float) -> BlochPoint:
 def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Constellation:
     """Map polynomial roots to sphere points via tan(theta/2) e^{i phi} = x.
 
-    Each missing leading degree is a root at infinity, one south-pole point,
-    so the constellation always carries expected_size points.
+    Each missing leading degree is a root at infinity, one south-pole point, so
+    the 1-d roots plus leading_deficiency must make exactly expected_size points.
     """
     leading_deficiency = _count(leading_deficiency, "leading_deficiency")
     expected_size = _count(expected_size, "expected_size")
     roots = np.asarray(roots, dtype=complex)
-    if roots.shape[0] + leading_deficiency != expected_size:
+    if roots.shape != (expected_size - leading_deficiency,):
         raise ValueError(
-            f"{roots.shape[0]} roots + deficiency {leading_deficiency} "
+            f"roots of shape {roots.shape} + deficiency {leading_deficiency} "
             f"!= expected size {expected_size}"
         )
     x = np.append(roots, np.full(leading_deficiency, np.inf))

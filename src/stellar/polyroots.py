@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _count, _vector
+
 __all__ = [
     "ComplexPolynomial",
     "RootResult",
@@ -52,20 +54,14 @@ _MAX_ITERATIONS = 200
 
 @dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
-    """p(x) = sum_k coefficients[k] x^k, low order first."""
+    """p(x) = sum_k coefficients[k] x^k, low order first, read as state vectors are."""
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex, ndmin=1)
-        c.flags.writeable = False
+        fits, expected = lambda m: m > 0, "at least one coefficient"
+        c = _vector(self.coefficients, fits, expected, "coefficient vector")
         object.__setattr__(self, "coefficients", c)
-        if c.ndim != 1 or c.shape[0] < 1:
-            raise ValueError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        if not np.any(np.abs(c) > 0):
-            raise ValueError("the zero polynomial has no well-defined roots")
 
     def __reduce__(self):  # copies and unpickled ones are rebuilt, so checked and read-only
         return ComplexPolynomial, (self.coefficients,)
@@ -258,10 +254,13 @@ def find_roots(
     reach tol a RootFindingError carrying the best iterate is raised; its
     message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
-    merged. A NaN tol is refused with ValueError.
+    merged. A NaN tol or a negative max_iterations is refused with ValueError,
+    and a max_iterations that is not an integer with TypeError.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
+    if _count(max_iterations, "max_iterations") < 0:
+        raise ValueError(f"max_iterations must not be negative, got {max_iterations}")
     sizes = p._deflation_sizes()
     live = np.flatnonzero(sizes > COEFF_DEFLATION_RTOL * np.max(sizes))
     lo, hi = int(live[0]), int(live[-1])

@@ -47,18 +47,19 @@ def _count(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r:.40}")
 
 
-def _set_amplitudes(state, fits, expected: str) -> None:
-    """Store a read-only complex copy of state.amplitudes: a length that fits,
-    finite, not all zero; expected describes the length in the error."""
-    amps = np.array(state.amplitudes, dtype=complex)
-    if amps.ndim != 1 or not fits(amps.shape[0]):
-        raise ValueError(f"expected {expected}, got shape {amps.shape}")
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("state vector has a non-finite amplitude")
-    if not np.any(np.abs(amps) > 0):
-        raise ValueError("state vector is identically zero")
-    amps.flags.writeable = False
-    object.__setattr__(state, "amplitudes", amps)
+def _vector(values, fits, expected: str, name: str) -> np.ndarray:
+    """A read-only complex copy of values, 1-d with a length that fits (expected
+    describes it), finite and not all zero, else ValueError naming the vector.
+    The one reader of state amplitudes, polynomial coefficients and ray vectors."""
+    v = np.array(values, dtype=complex, ndmin=1)
+    if v.ndim != 1 or not fits(v.shape[0]):
+        raise ValueError(f"{name}: expected a 1-d array of {expected}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has a non-finite entry")
+    if not np.any(np.abs(v) > 0):
+        raise ValueError(f"{name} is identically zero")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +76,8 @@ class PureState:
             raise ValueError("need at least one qubit")
         # 2^n is formed only for an n below the bit length of the count m
         fits = lambda m: n < m.bit_length() and m == 2**n
-        _set_amplitudes(self, fits, f"2^{n} amplitudes for {n} qubits")
+        amps = _vector(self.amplitudes, fits, f"2^{n} amplitudes for {n} qubits", "state vector")
+        object.__setattr__(self, "amplitudes", amps)
 
     def __reduce__(self):  # copies and unpickled states are rebuilt, so checked and read-only
         return PureState, (self.n_qubits, self.amplitudes)
@@ -96,8 +98,9 @@ class SpinState:
         object.__setattr__(self, "two_S", two_S)
         if two_S < 1:
             raise ValueError("two_S must be a positive integer")
-        size = two_S + 1
-        _set_amplitudes(self, lambda m: m == size, f"{size} amplitudes for two_S={two_S}")
+        expected = f"{two_S + 1} amplitudes for two_S={two_S}"
+        amps = _vector(self.amplitudes, lambda m: m == two_S + 1, expected, "state vector")
+        object.__setattr__(self, "amplitudes", amps)
 
     def __reduce__(self):  # copies and unpickled states are rebuilt, so checked and read-only
         return SpinState, (self.two_S, self.amplitudes)
@@ -172,16 +175,10 @@ def qubits_from_spin(spin: SpinState) -> PureState:
 
 
 def _overlap_terms(a, b):
-    """<a|b>, <a|a> and <b|b> of the two vectors, each first divided by its
-    largest modulus so that no product overflows or underflows."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("state vector has a non-finite amplitude")
-    if not (np.any(a) and np.any(b)):
-        raise ValueError("state vector is identically zero")
+    """<a|b>, <a|a> and <b|b> of two vectors read as state vectors are, each first
+    divided by its largest modulus so that no product overflows or underflows."""
+    a = _vector(a, lambda m: m > 0, "at least one amplitude", "state vector a")
+    b = _vector(b, lambda m: m == a.size, f"{a.size} amplitudes, as a has", "state vector b")
     a, b = a / np.abs(a).max(), b / np.abs(b).max()
     return np.vdot(a, b), np.vdot(a, a).real, np.vdot(b, b).real
 

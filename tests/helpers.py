@@ -35,6 +35,7 @@ import stellar
 from stellar import (
     BlochPoint,
     Constellation,
+    EulerAngles,
     PureState,
     SeparabilityVerdict,
     SeparableFactorization,
@@ -114,6 +115,12 @@ def random_spin(rng, two_S: int):
     from stellar import SpinState
 
     return SpinState(two_S, random_amplitudes(rng, two_S + 1))
+
+
+def random_angles(rng) -> EulerAngles:
+    return EulerAngles(
+        rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+    )
 
 
 def bell_pair() -> PureState:

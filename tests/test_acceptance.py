@@ -43,18 +43,13 @@ from stellar.cli import main as cli_main
 import helpers
 
 QUARTER = EulerAngles(*helpers.QUARTER_TURN_Y)
+random_angles = helpers.random_angles
 
 
 def report(capsys, number, ok, label):
     with capsys.disabled():
         print(f"{'PASS' if ok else 'FAIL'} criterion {number:2d}: {label}")
     assert ok, f"criterion {number} failed: {label}"
-
-
-def random_angles(rng):
-    return EulerAngles(
-        rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-    )
 
 
 def azimuth_gap(a, b):

@@ -52,7 +52,7 @@ def test_non_finite_angles_are_refused_wherever_a_constellation_is_built():
         bloch_point(np.nan, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         so3_matrix(EulerAngles(np.nan, 0.0, 0.0))
-    with pytest.raises(ValueError, match="non-finite"):  # so3_matrix refuses a NaN angle first
+    with pytest.raises(ValueError, match="non-finite"):  # rotations._so3 refuses the NaN matrix
         rotate_constellation(equator, np.full((3, 3), np.nan))
 
 
@@ -127,6 +127,13 @@ def test_points_from_roots_origin_is_north_pole():
 def test_points_from_roots_size_mismatch():
     with pytest.raises(ValueError):
         points_from_roots([1.0], 1, 3)
+
+
+@pytest.mark.parametrize("roots, size", [(np.zeros((3, 2)), 3), (1.0, 1)], ids=["2-d", "0-d"])
+def test_points_from_roots_refuses_roots_that_are_not_1d(roots, size):
+    # at the parent the (3, 2) array passed as 3 roots and gave 6 points
+    with pytest.raises(ValueError, match="roots of shape"):
+        points_from_roots(roots, 0, size)
 
 
 def test_root_modulus_sets_latitude():

@@ -247,6 +247,16 @@ def test_nan_tolerance_is_a_bad_argument_not_a_convergence_failure():
         find_roots(ComplexPolynomial([1.0, 2.0, 3.0]), tol=math.nan)
 
 
+@pytest.mark.parametrize(
+    "count, error", [(True, TypeError), (3.0, TypeError), ("5", TypeError), (-1, ValueError)]
+)
+def test_bad_max_iterations_is_a_bad_argument_not_a_convergence_failure(count, error):
+    p = ComplexPolynomial([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(error, match="max_iterations"):
+        find_roots(p, max_iterations=count)
+    assert find_roots(p, max_iterations=np.int64(200)).roots.shape == (3,)
+
+
 def test_six_qubit_majorana_writes_nothing_to_stderr(capfd):
     # the degree-63 Majorana polynomial of this seeded state once overflowed
     # the iteration and leaked numpy RuntimeWarnings; now it converges quietly

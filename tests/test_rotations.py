@@ -28,12 +28,7 @@ from stellar import (
 import helpers
 
 QUARTER = EulerAngles(*helpers.QUARTER_TURN_Y)
-
-
-def random_angles(rng) -> EulerAngles:
-    return EulerAngles(
-        rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-    )
+random_angles = helpers.random_angles
 
 
 def test_single_qubit_rotation_about_y():

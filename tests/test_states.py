@@ -260,6 +260,36 @@ def test_ray_helpers_reject_shape_mismatch():
         ray_fidelity([1, 0], [1, 0, 0])
 
 
+# each entry reads one four-entry complex vector, and the name its refusals give it
+VECTOR_READERS = {
+    "PureState": (lambda v: PureState(2, v), "state vector"),
+    "SpinState": (lambda v: SpinState(3, v), "state vector"),
+    "ComplexPolynomial": (ComplexPolynomial, "coefficient vector"),
+    "rays_equal-a": (lambda v: rays_equal(v, v), "state vector a"),
+    "rays_equal-b": (lambda v: rays_equal(np.ones(4), v), "state vector b"),
+    "ray_fidelity-a": (lambda v: ray_fidelity(v, v), "state vector a"),
+    "ray_fidelity-b": (lambda v: ray_fidelity(np.ones(4), v), "state vector b"),
+}
+
+
+@pytest.mark.parametrize("read, name", VECTOR_READERS.values(), ids=VECTOR_READERS.keys())
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ([1, np.nan, 0, 1], " has a non-finite entry"),
+        ([np.inf, 1, 0, 1], " has a non-finite entry"),
+        ([1, 1, 0, complex(0, -np.inf)], " has a non-finite entry"),
+        ([0, 0, 0, 0], " is identically zero"),
+        ([[1, 0], [0, 1]], ": expected a 1-d array of "),
+    ],
+    ids=["nan", "inf", "minus-inf", "zero", "2-d"],
+)
+def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, message):
+    # at the parent the ray helpers read a 2-d pair of one shape as its flattened vectors
+    with pytest.raises(ValueError, match=f"^{name}{message}"):
+        read(np.array(vector, dtype=complex))
+
+
 # each entry builds an object from one caller-owned array, and lists the arrays it holds
 HOLDERS = {
     "PureState": (lambda a: PureState(2, a), lambda o: [o.amplitudes]),
