@@ -131,7 +131,7 @@ def test_points_from_roots_size_mismatch():
 
 @pytest.mark.parametrize("roots, size", [(np.zeros((3, 2)), 3), (1.0, 1)], ids=["2-d", "0-d"])
 def test_points_from_roots_refuses_roots_that_are_not_1d(roots, size):
-    # at the parent the (3, 2) array passed as 3 roots and gave 6 points
+    # a (3, 2) array has shape[0] == 3 but holds 6 roots
     with pytest.raises(ValueError, match="roots of shape"):
         points_from_roots(roots, 0, size)
 

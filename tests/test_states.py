@@ -285,7 +285,7 @@ VECTOR_READERS = {
     ids=["nan", "inf", "minus-inf", "zero", "2-d"],
 )
 def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, message):
-    # at the parent the ray helpers read a 2-d pair of one shape as its flattened vectors
+    # a 2-d pair of one shape must not be read as its flattened vectors
     with pytest.raises(ValueError, match=f"^{name}{message}"):
         read(np.array(vector, dtype=complex))
 
