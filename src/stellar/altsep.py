@@ -141,7 +141,6 @@ def separable_constellation(f: SeparableFactorization) -> Constellation:
 
 def alt_constellation(state: PureState, tol: float = DEFAULT_ROOT_TOL) -> Constellation:
     """The 2^N - 1 roots of the plain amplitude polynomial as sphere points."""
-    result = find_roots(alt_polynomial(state), tol)
-    return points_from_roots(
-        result.roots, result.leading_deficiency, 2**state.n_qubits - 1
-    )
+    p = alt_polynomial(state)
+    result = find_roots(p, tol)
+    return points_from_roots(result.roots, result.leading_deficiency, p.nominal_degree)

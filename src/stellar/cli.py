@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .altsep import DEFAULT_SEPARABILITY_TOL, alt_constellation, decide_separability
 from .majorana import majorana_constellation
 from .polyroots import DEFAULT_ROOT_TOL, RootFindingError
@@ -81,10 +79,10 @@ def cmd_rotate(args) -> str:
     if args.mode == "spin":
         triple = _parse_triple(args.angles, args.degrees)
         return state_to_json(qubits_from_spin(rotate_spin(spin_from_qubits(state), triple)))
-    if args.angles_per_qubit is None:
-        return state_to_json(rotate_qubits_uniform(state, _parse_triple(args.angles, args.degrees)))
-    triples = [_parse_triple(p, args.degrees) for p in args.angles_per_qubit.split(";")]
-    return state_to_json(rotate_qubits(state, triples))
+    texts = [args.angles] * state.n_qubits
+    if args.angles_per_qubit is not None:
+        texts = args.angles_per_qubit.split(";")
+    return state_to_json(rotate_qubits(state, [_parse_triple(t, args.degrees) for t in texts]))
 
 
 def cmd_check_sep(args) -> str:
@@ -105,8 +103,8 @@ def cmd_render(args) -> str:
 
 def _demo_states() -> list[tuple[str, str, PureState]]:
     rt3 = math.sqrt(3.0)
-    ent = PureState(2, np.array([rt3, 1.0, 1.0, rt3], dtype=complex))
-    sep = PureState(2, np.array([1.0, 1.0, 1.0, 1.0], dtype=complex))
+    ent = PureState(2, [rt3, 1.0, 1.0, rt3])
+    sep = PureState(2, [1.0, 1.0, 1.0, 1.0])
     quarter = EulerAngles(0.0, math.pi / 2.0, 0.0)
     spin_rot = lambda s: qubits_from_spin(rotate_spin(spin_from_qubits(s), quarter))
     return [
@@ -208,12 +206,9 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(args.func(args))
         return 0
-    except RootFindingError as exc:
+    except (RootFindingError, ValueError, OSError) as exc:  # InputFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:  # InputFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, RootFindingError) else 2
 
 
 if __name__ == "__main__":

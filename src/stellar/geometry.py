@@ -100,7 +100,7 @@ def _from_cartesian(rows) -> Constellation:
     rho = np.hypot(x, y)
     if np.any((rho == 0.0) & (z == 0.0)):
         raise ValueError("zero vector has no direction")
-    return _from_angles(np.arctan2(rho, z), np.where(rho > 0.0, np.arctan2(y, x), 0.0))
+    return _from_angles(np.arctan2(rho, z), np.arctan2(y, x))
 
 
 def bloch_point(theta: float, phi: float) -> BlochPoint:
@@ -112,15 +112,15 @@ def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Con
     """Map polynomial roots to sphere points via tan(theta/2) e^{i phi} = x.
 
     Each missing leading degree is a root at infinity, one south-pole point, so
-    the 1-d roots plus leading_deficiency must make exactly expected_size points.
+    the 1-d roots plus leading_deficiency >= 0 must make exactly expected_size points.
     """
     leading_deficiency = _count(leading_deficiency, "leading_deficiency")
     expected_size = _count(expected_size, "expected_size")
     roots = np.asarray(roots, dtype=complex)
-    if roots.shape != (expected_size - leading_deficiency,):
+    if leading_deficiency < 0 or roots.shape != (expected_size - leading_deficiency,):
         raise ValueError(
-            f"roots of shape {roots.shape} + deficiency {leading_deficiency} "
-            f"!= expected size {expected_size}"
+            "need deficiency >= 0 and 1-d roots of expected size - deficiency entries, got "
+            f"roots of shape {roots.shape}, deficiency {leading_deficiency}, size {expected_size}"
         )
     x = np.append(roots, np.full(leading_deficiency, np.inf))
     # hypot, not np.abs: on AVX-512 np.abs can differ from the scalar in the last bit

@@ -254,11 +254,11 @@ def find_roots(
     reach tol a RootFindingError carrying the best iterate is raised; its
     message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
-    merged. A NaN tol or a negative max_iterations is refused with ValueError,
-    and a max_iterations that is not an integer with TypeError.
+    merged. A NaN or negative tol, or a negative max_iterations, is refused with
+    ValueError, and a max_iterations that is not an integer with TypeError.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0 (not NaN), got {tol!r}")
     if _count(max_iterations, "max_iterations") < 0:
         raise ValueError(f"max_iterations must not be negative, got {max_iterations}")
     sizes = p._deflation_sizes()

@@ -200,13 +200,12 @@ def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
     matrix that is not a real, finite 3 x 3 rotation within 1e-10 raises ValueError."""
     r = _so3(matrix)
     # standard z-y-z extraction of Rz(a) Ry(b) Rz(c), then flip the z signs
-    beta = float(np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2]))
-    if np.hypot(r[0, 2], r[1, 2]) < 1e-14:  # gimbal-locked: all z-rotation in one angle
-        if r[2, 2] < 0:
-            a = float(np.arctan2(-r[1, 0], -r[0, 0]))
-            return EulerAngles(-a, np.pi, 0.0)
-        a = float(np.arctan2(r[1, 0], r[0, 0]))
-        return EulerAngles(-a, 0.0, 0.0)
+    rho = np.hypot(r[0, 2], r[1, 2])
+    if rho < 1e-14:  # gimbal-locked: all z-rotation in one angle; s = -1 flips it for beta = pi
+        s = -1.0 if r[2, 2] < 0 else 1.0
+        a = float(np.arctan2(s * r[1, 0], s * r[0, 0]))
+        return EulerAngles(-a, np.pi if s < 0 else 0.0, 0.0)
+    beta = float(np.arctan2(rho, r[2, 2]))
     a = float(np.arctan2(r[1, 2], r[0, 2]))
     c = float(np.arctan2(r[2, 1], -r[2, 0]))
     return EulerAngles(-a, beta, -c)

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import math
 import pickle
 
 import numpy as np
@@ -127,6 +129,10 @@ def test_points_from_roots_origin_is_north_pole():
 def test_points_from_roots_size_mismatch():
     with pytest.raises(ValueError):
         points_from_roots([1.0], 1, 3)
+    # a negative deficiency is refused as such, not left to numpy's negative-size error
+    for roots, deficiency, size in (([1, 2, 3, 4, 5], -2, 3), ([], -1, -1)):
+        with pytest.raises(ValueError, match="deficiency"):
+            points_from_roots(roots, deficiency, size)
 
 
 @pytest.mark.parametrize("roots, size", [(np.zeros((3, 2)), 3), (1.0, 1)], ids=["2-d", "0-d"])
@@ -153,6 +159,10 @@ def test_cartesian_round_trip():
 def test_point_from_cartesian_poles_and_zero():
     assert point_from_cartesian([0, 0, 2.0]) == BlochPoint(0.0, 0.0)
     assert point_from_cartesian([0, 0, -1.0]) == BlochPoint(np.pi, 0.0)
+    # signed zeros beside either pole still give phi = +0.0
+    for x, y, z in itertools.product((0.0, -0.0), (0.0, -0.0), (1.0, -1.0)):
+        phi = point_from_cartesian([x, y, z]).phi
+        assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
     with pytest.raises(ValueError):
         point_from_cartesian([0.0, 0.0, 0.0])
 

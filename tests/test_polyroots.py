@@ -243,8 +243,10 @@ def test_nonconvergence_reports_best_iterate():
 
 
 def test_nan_tolerance_is_a_bad_argument_not_a_convergence_failure():
-    with pytest.raises(ValueError, match="NaN"):
-        find_roots(ComplexPolynomial([1.0, 2.0, 3.0]), tol=math.nan)
+    # a negative tol too: it is no tolerance at all, unlike 0, which lies below the floor
+    for tol in (math.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="NaN"):
+            find_roots(ComplexPolynomial([1.0, 2.0, 3.0]), tol=tol)
 
 
 @pytest.mark.parametrize(

@@ -429,10 +429,13 @@ def test_euler_extraction_round_trip():
     for _ in range(30):
         r = so3_matrix(random_angles(rng))
         np.testing.assert_allclose(so3_matrix(euler_from_so3(r)), r, atol=1e-12)
-    # gimbal-locked branches
-    for ang in (EulerAngles(0.4, 0.0, 1.1), EulerAngles(-0.2, np.pi, 0.9)):
-        r = so3_matrix(ang)
-        np.testing.assert_allclose(so3_matrix(euler_from_so3(r)), r, atol=1e-12)
+    # gimbal-locked: beta exactly 0 or pi, all z-rotation in alpha, gamma exactly 0
+    locked = [so3_matrix(EulerAngles(0.4, 0.0, 1.1)), so3_matrix(EulerAngles(-0.2, np.pi, 0.9))]
+    locked += [np.diag(d) for d in ([-1.0, -1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0])]
+    for r in locked:
+        e = euler_from_so3(r)
+        assert e.beta == (np.pi if r[2, 2] < 0 else 0.0) and e.gamma == 0.0
+        np.testing.assert_allclose(so3_matrix(e), r, atol=1e-12)
 
 
 @pytest.mark.parametrize(
