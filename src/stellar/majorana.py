@@ -48,14 +48,12 @@ class Spinor(NamedTuple):
 _MAX_TWO_S = 1029
 
 
+# typed, else 3.0 or True would get the row cached for an equal np.int64, not _count's TypeError
+@lru_cache(maxsize=64, typed=True)
 def sqrt_binomials(n: int) -> np.ndarray:
     """sqrt(binom(n, k)) for k = 0..n: exact integer binomials, each rounded
     once. The row is cached per n and returned read-only."""
-    return _sqrt_binomials(_count(n, "n"))
-
-
-@lru_cache(maxsize=64)
-def _sqrt_binomials(n: int) -> np.ndarray:
+    n = _count(n, "n")
     if not 0 <= n <= _MAX_TWO_S:
         raise ValueError(
             f"Majorana weights need 0 <= 2S <= {_MAX_TWO_S} to fit float64; got 2S = {n}"
@@ -105,13 +103,15 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
     2S - L + (L - 1) m < 4S additions, so |error_j| <= ((2S - 1) mu +
     (2S - L + (L - 1) m) u) M_j < (sqrt(2) + 1) 2S eps M_j, where M_j is the
     coefficient of x^j in prod_k (|alpha_k| x + |beta_k|)."""
-    two_s = len(spinors)
+    two_s, given = len(spinors), np.asarray(spinors, dtype=complex)
     if two_s == 0:
         raise ValueError("need at least one spinor")
+    if given.shape != (two_s, 2):
+        raise ValueError(f"spinors: expected 2S (alpha, beta) pairs, got shape {given.shape}")
     m = math.isqrt(two_s) + 1
     blocks = -(-two_s // m)
     pairs = np.full((blocks * m, 2), [0, 1], dtype=complex)
-    pairs[:two_s] = np.asarray(spinors, dtype=complex).reshape(two_s, 2)
+    pairs[:two_s] = given
     alpha, beta = pairs.T.reshape(2, blocks, m, 1)
     if not np.isfinite(pairs).all():
         raise ValueError("spinors must be finite")

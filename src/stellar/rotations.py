@@ -18,11 +18,12 @@ np.einsum, never BLAS; rotate_spin there is that apply. The public wigner_D at
 2S = 1 also takes arrays of angles and returns such a stack; no library path
 calls that form.
 At 2S > 1 one factored formula applies it to real columns, O((2S)^2) each:
-rotate_spin applies it to a state, never forming the matrix; wigner_small_d
-applies it to the identity, at twice one dense product's cost. Under
-rotate_spin the Majorana points move rigidly by so3_matrix(angles), the spin-1/2
-matrix's adjoint action on (sx, -sy, sz), whose -sy is the convention's mirror;
-rotate_constellation and euler_from_so3 refuse any matrix that is not a rotation.
+rotate_spin applies it to a state, never forming the matrix; wigner_D applies
+it to the identity, building every Wigner matrix: wigner_small_d is its real
+part at alpha = gamma = 0. Under rotate_spin the Majorana points move rigidly by
+so3_matrix(angles), the spin-1/2 matrix's adjoint action on (sx, -sy, sz), whose
+-sy is the convention's mirror; rotate_constellation and euler_from_so3 refuse
+any matrix that is not a rotation.
 """
 
 from __future__ import annotations
@@ -95,17 +96,8 @@ def wigner_small_d(two_S: int, beta: float) -> np.ndarray:
     """Real small-d matrix d^S_{M'M}(beta), descending M order both ways. beta is
     read as an Euler angle; at two_S = 1 it may be an array, giving a stack."""
     two_S = _count(two_S, "two_S")
-    return _small_d(two_S, _euler(beta, (...,) if two_S == 1 else ()))
-
-
-def _small_d(two_S: int, beta: np.ndarray) -> np.ndarray:
-    """wigner_small_d for a beta already read by _euler."""
-    if two_S < 1:
-        raise ValueError("two_S must be a positive integer")
-    if two_S == 1:  # exact to the rounding of cos and sin; beta may be an array
-        c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
-        return np.stack([c, -s, s, c], axis=-1).reshape(np.shape(beta) + (2, 2))
-    return _small_d_times(two_S, beta, np.eye(two_S + 1))
+    # at alpha = gamma = 0 both phases are exactly 1, so the real part is d bit for bit
+    return _wigner_D(two_S, 0.0, _euler(beta, (...,) if two_S == 1 else ()), 0.0).real
 
 
 def _small_d_times(two_S: int, beta: float, x: np.ndarray) -> np.ndarray:
@@ -125,8 +117,14 @@ def wigner_D(two_S: int, angles: EulerAngles) -> np.ndarray:
 
 def _wigner_D(two_S: int, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """wigner_D for angles already read by _euler."""
+    if two_S < 1:
+        raise ValueError("two_S must be a positive integer")
+    if two_S == 1:  # exact to the rounding of cos and sin; beta may be an array
+        c, s = np.cos(0.5 * beta), np.sin(0.5 * beta)
+        d = np.stack([c, -s, s, c], axis=-1).reshape(np.shape(beta) + (2, 2))
+    else:
+        d = _small_d_times(two_S, beta, np.eye(two_S + 1))
     m = np.arange(0.5 * two_S, -0.5 * two_S - 1, -1.0)  # M = S, S - 1, ..., -S
-    d = _small_d(two_S, beta)
     return (np.exp(np.multiply.outer(-1j * alpha, m))[..., :, None] * d
             * np.exp(np.multiply.outer(-1j * gamma, m))[..., None, :])
 

@@ -65,13 +65,16 @@ def state_to_json(state: PureState) -> str:
     return _write({"n_qubits": state.n_qubits, "amplitudes": (rows,)})
 
 
-def _load(text: str) -> Any:
+def _load(text: str, kind: str) -> dict:
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise InputFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:  # the parser recurses once per nesting level
         raise InputFormatError("JSON nested too deeply to parse") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{kind} document must be a JSON object")
+    return doc
 
 
 def _json_count(doc: dict, key: str) -> int:
@@ -95,9 +98,7 @@ def _float(value) -> float:
 
 
 def state_from_json(text: str) -> PureState:
-    doc = _load(text)
-    if not isinstance(doc, dict):
-        raise InputFormatError("state document must be a JSON object")
+    doc = _load(text, "state")
     try:
         n = _json_count(doc, "n_qubits")
         raw = doc["amplitudes"]
@@ -124,9 +125,7 @@ def constellation_to_json(constellation: Constellation) -> str:
 
 
 def constellation_from_json(text: str) -> Constellation:
-    doc = _load(text)
-    if not isinstance(doc, dict):
-        raise InputFormatError("constellation document must be a JSON object")
+    doc = _load(text, "constellation")
     try:
         size = _json_count(doc, "expected_size")
         angles = [(_float(p["theta"]), _float(p["phi"])) for p in doc["points"]]

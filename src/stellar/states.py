@@ -48,10 +48,14 @@ def _count(value, name: str) -> int:
 
 
 def _vector(values, fits, expected: str, name: str) -> np.ndarray:
-    """A read-only complex copy of values, 1-d with a length that fits (expected
-    describes it), finite and not all zero, else ValueError naming the vector.
-    The one reader of state amplitudes, polynomial coefficients and ray vectors."""
-    v = np.array(values, dtype=complex, ndmin=1)
+    """A read-only complex copy of values, else an error naming the vector: TypeError
+    unless the entries are numbers, ValueError unless it is 1-d with a length that fits
+    (expected describes it), finite and not all zero. The one reader of state
+    amplitudes, polynomial coefficients and ray vectors."""
+    v = np.array(values, ndmin=1)
+    if v.dtype.kind not in "biufc":
+        raise TypeError(f"{name} must hold numbers, got {v.dtype} entries")
+    v = v.astype(complex, copy=False)
     if v.ndim != 1 or not fits(v.shape[0]):
         raise ValueError(f"{name}: expected a 1-d array of {expected}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -121,9 +125,7 @@ class BasisLabel:
             raise ValueError(f"bits must be 0 or 1, got {bits}")
 
 
-def make_pure_state(n_qubits: int, amplitudes) -> PureState:
-    """Validate and wrap a dense amplitude vector as an N-qubit state."""
-    return PureState(n_qubits, amplitudes)
+make_pure_state = PureState  # the checked constructor under its functional name
 
 
 def decimal_index(label: BasisLabel) -> int:

@@ -78,6 +78,9 @@ def test_state_from_spinors_rejects_empty_and_null():
         state_from_spinors([Spinor(1, 0), Spinor(0, 0)])
     with pytest.raises(ValueError, match=null):
         state_from_spinors([Spinor(1, 0), Spinor(0, 0), Spinor(0.6, 0.8j)])
+    for wrong in ([[1, 2, 3]], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"^spinors: expected 2S \(alpha, beta\) pairs"):
+            state_from_spinors(wrong)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
@@ -227,6 +230,14 @@ def test_sqrt_binomials_row_is_cached_read_only():
     with pytest.raises(ValueError):
         row *= 2.0
     assert math.isclose(row[1] ** 2, 255.0)
+
+
+def test_sqrt_binomials_cache_does_not_let_a_non_integer_through():
+    # 3.0 and True equal and hash as the np.int64 rows cached first
+    sqrt_binomials(np.int64(3)), sqrt_binomials(np.int64(1))
+    for bad in (3.0, np.float64(3.0), True, np.True_):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            sqrt_binomials(bad)
 
 
 def test_sqrt_binomials_stop_at_the_float64_limit():

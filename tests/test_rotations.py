@@ -281,6 +281,21 @@ def test_small_d_stacks_betas_at_spin_half():
         np.testing.assert_array_equal(stack[index], wigner_small_d(1, float(betas[index])))
 
 
+_PINNED_BETAS = [0.0, -0.0, np.pi, 1e-300, *np.random.default_rng(33).uniform(-7, 7, 2)]
+
+
+@pytest.mark.parametrize(
+    "two_S, beta",
+    [(k, b) for k in (1, 2, 3, 7, 63) for b in _PINNED_BETAS] + [(1, np.array(_PINNED_BETAS))],
+    ids=repr,
+)
+def test_small_d_is_the_real_part_of_wigner_D_bit_for_bit(two_S, beta):
+    big = wigner_D(two_S, (np.zeros_like(beta), beta, np.zeros_like(beta)))
+    # tobytes keeps signed zeros apart, which array_equal would not
+    assert wigner_small_d(two_S, beta).tobytes() == big.real.tobytes()
+    assert not np.any(big.imag)
+
+
 @pytest.mark.parametrize("entry", ROTATION_ENTRY_POINTS)
 def test_integer_and_float32_angles_are_read_as_float64(entry):
     def call(angles):  # a state's amplitudes, or the matrix itself

@@ -186,6 +186,15 @@ def test_constellation_from_json_rejects_malformed(text):
         constellation_from_json(text)
 
 
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "42", "null", '"text"'])
+@pytest.mark.parametrize(
+    "read, kind", [(state_from_json, "state"), (constellation_from_json, "constellation")]
+)
+def test_readers_name_a_document_that_is_not_an_object(read, kind, text):
+    with pytest.raises(InputFormatError, match=f"^{kind} document must be a JSON object$"):
+        read(text)
+
+
 def test_empty_constellation_loads():
     c = constellation_from_json('{"expected_size": 0, "points": []}')
     assert c.expected_size == 0 and c.points == ()

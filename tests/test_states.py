@@ -290,6 +290,18 @@ def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, messa
         read(np.array(vector, dtype=complex))
 
 
+@pytest.mark.parametrize("read, name", VECTOR_READERS.values(), ids=VECTOR_READERS.keys())
+@pytest.mark.parametrize(
+    "vector",
+    [["1", "0", "0", "1"], [b"1", b"0", b"0", b"1"], [None, 1, 0, 1], [2**70, 1, 0, 1]],
+    ids=["str", "bytes", "None", "beyond-int64"],
+)
+def test_vector_readers_refuse_entries_that_are_not_numbers(read, name, vector):
+    # numpy would parse the strings; None and big ints make an object array
+    with pytest.raises(TypeError, match=f"^{name} must hold numbers"):
+        read(vector)
+
+
 # each entry builds an object from one caller-owned array, and lists the arrays it holds
 HOLDERS = {
     "PureState": (lambda a: PureState(2, a), lambda o: [o.amplitudes]),
