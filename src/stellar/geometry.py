@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import _count
+from .states import _count, _numbers
 
 __all__ = [
     "BlochPoint",
@@ -54,11 +54,10 @@ class Constellation:
 
     def _store(self, thetas, phis, expected_size: int) -> None:
         expected_size = _count(expected_size, "expected_size")
-        thetas, phis = np.array(thetas, dtype=float), np.array(phis, dtype=float)
+        thetas = np.array(_numbers(thetas, float, "theta"))
+        phis = np.array(_numbers(phis, float, "phi"))
         if thetas.size != expected_size:
             raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
-        if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
-            raise ValueError("constellation has a non-finite angle")
         thetas.flags.writeable = phis.flags.writeable = False
         self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size)
 
@@ -87,7 +86,7 @@ class Constellation:
 def _from_angles(thetas, phis) -> Constellation:
     """Points under the one canonical-angle rule: theta clamped into [0, pi],
     phi wrapped into [0, 2pi), and phi = 0 where theta is exactly 0 or pi."""
-    thetas = np.clip(np.asarray(thetas, dtype=float), 0.0, np.pi)
+    thetas = np.clip(thetas, 0.0, np.pi)
     # np.mod rounds phi in about (-4.4e-16, 0) up to exactly 2pi
     phis = np.mod(phis, 2.0 * np.pi)
     phis = np.where((thetas == 0.0) | (thetas == np.pi) | (phis == 2.0 * np.pi), 0.0, phis)
@@ -96,7 +95,7 @@ def _from_angles(thetas, phis) -> Constellation:
 
 def _from_cartesian(rows) -> Constellation:
     """Canonical sphere points for the directions of nonzero 3-vector rows."""
-    x, y, z = np.asarray(rows, dtype=float).T
+    x, y, z = rows.T
     rho = np.hypot(x, y)
     if np.any((rho == 0.0) & (z == 0.0)):
         raise ValueError("zero vector has no direction")
@@ -104,19 +103,19 @@ def _from_cartesian(rows) -> Constellation:
 
 
 def bloch_point(theta: float, phi: float) -> BlochPoint:
-    """Canonicalize angles: clamp theta into [0, pi], wrap phi, fix poles."""
-    return _from_angles([theta], [phi]).points[0]
+    """Canonicalize angles read by _numbers: clamp theta into [0, pi], wrap phi, fix poles."""
+    return _from_angles(_numbers([theta], float, "theta"), _numbers([phi], float, "phi")).points[0]
 
 
 def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Constellation:
     """Map polynomial roots to sphere points via tan(theta/2) e^{i phi} = x.
 
-    Each missing leading degree is a root at infinity, one south-pole point, so
-    the 1-d roots plus leading_deficiency >= 0 must make exactly expected_size points.
+    Each missing leading degree is a root at infinity, one south-pole point, so the 1-d
+    roots, finite as _numbers reads them, and leading_deficiency >= 0 make expected_size points.
     """
     leading_deficiency = _count(leading_deficiency, "leading_deficiency")
     expected_size = _count(expected_size, "expected_size")
-    roots = np.asarray(roots, dtype=complex)
+    roots = _numbers(roots, complex, "roots")
     if leading_deficiency < 0 or roots.shape != (expected_size - leading_deficiency,):
         raise ValueError(
             "need deficiency >= 0 and 1-d roots of expected size - deficiency entries, got "
@@ -128,15 +127,16 @@ def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Con
 
 
 def to_cartesian(obj) -> np.ndarray:
-    """Unit vector(s) for a BlochPoint or a Constellation."""
-    theta, phi = (obj.thetas, obj.phis) if isinstance(obj, Constellation) else (obj.theta, obj.phi)
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    """Unit vector(s) for a Constellation, or a BlochPoint read as a one-point one."""
+    if not isinstance(obj, Constellation):
+        return to_cartesian(Constellation((obj,), 1))[0]
+    st = np.sin(obj.thetas)
+    return np.stack([st * np.cos(obj.phis), st * np.sin(obj.phis), np.cos(obj.thetas)], axis=-1)
 
 
 def point_from_cartesian(v) -> BlochPoint:
-    """Sphere point for a (not necessarily unit) nonzero 3-vector."""
-    return _from_cartesian(np.asarray(v, dtype=float).reshape(1, 3)).points[0]
+    """Sphere point for a (not necessarily unit) nonzero 3-vector, read by _numbers."""
+    return _from_cartesian(_numbers(v, float, "v").reshape(1, 3)).points[0]
 
 
 def _angle(u, v) -> np.ndarray:

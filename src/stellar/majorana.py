@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import BlochPoint, Constellation, points_from_roots
 from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
-from .states import PureState, SpinState, _count, spin_from_qubits
+from .states import PureState, SpinState, _count, _numbers, spin_from_qubits
 
 __all__ = [
     "Spinor",
@@ -103,7 +103,8 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
     2S - L + (L - 1) m < 4S additions, so |error_j| <= ((2S - 1) mu +
     (2S - L + (L - 1) m) u) M_j < (sqrt(2) + 1) 2S eps M_j, where M_j is the
     coefficient of x^j in prod_k (|alpha_k| x + |beta_k|)."""
-    two_s, given = len(spinors), np.asarray(spinors, dtype=complex)
+    given = _numbers(spinors, complex, "spinors")
+    two_s = len(given) if given.ndim else None  # a scalar fails the shape test
     if two_s == 0:
         raise ValueError("need at least one spinor")
     if given.shape != (two_s, 2):
@@ -113,8 +114,6 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
     pairs = np.full((blocks * m, 2), [0, 1], dtype=complex)
     pairs[:two_s] = given
     alpha, beta = pairs.T.reshape(2, blocks, m, 1)
-    if not np.isfinite(pairs).all():
-        raise ValueError("spinors must be finite")
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
     if not (np.isfinite(scale) and scale != 0):

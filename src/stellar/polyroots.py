@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _count, _vector
+from .states import _count, _numbers, _vector
 
 __all__ = [
     "ComplexPolynomial",
@@ -105,9 +105,9 @@ class RootFindingError(RuntimeError):
 
 
 def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
-    """p at a point or an array of points by _blocked on p itself, within _horner's bound."""
+    """p at a point or points, read by _numbers, by _blocked on p itself, within _horner's bound."""
     _, table, moduli = _tables(p.coefficients)
-    z = np.asarray(x, dtype=complex).reshape(-1)
+    z = _numbers(x, complex, "x").reshape(-1)
     (acc,), _ = _blocked(table[:1, :1], moduli[:1], z, z.size)
     return complex(acc[0]) if np.ndim(x) == 0 else acc.reshape(np.shape(x))
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Constellation, _from_cartesian, to_cartesian
-from .states import PureState, SpinState, _count
+from .states import PureState, SpinState, _count, _numbers
 
 __all__ = [
     "EulerAngles",
@@ -51,9 +51,9 @@ __all__ = [
 
 
 class EulerAngles(NamedTuple):
-    """z-y-z Euler triple in radians. The angles must be real and finite: every
-    rotation entry point refuses others, with TypeError for complex or
-    non-numeric angles and a malformed triple, ValueError for NaN or inf."""
+    """z-y-z Euler triple in radians. Every rotation entry point reads the angles by
+    states._numbers as real and finite: TypeError for complex or non-numeric angles
+    and a malformed triple, ValueError for NaN or inf."""
 
     alpha: float
     beta: float
@@ -63,18 +63,14 @@ class EulerAngles(NamedTuple):
 def _euler(angles, shape: tuple = (3,)) -> np.ndarray:
     """The Euler angles as one float64 array of the given shape, where a last
     ... stands for any further axes: (3, ...) is a stack of triples, (...,) any
-    shape. The one place that decides which angles are valid."""
+    shape, tested first (TypeError) so that _numbers reads only a fitting shape."""
     try:
         a = np.asarray(angles)
-        fits = a.shape == shape or shape[-1:] == (...,) and a.shape[: len(shape) - 1] == shape[:-1]
-        real = a.dtype.kind in "biuf" and fits
-    except ValueError:  # ragged
-        real = False
-    if not real:
-        raise TypeError("Euler angles must be real numbers, three to an Euler triple")
-    if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a triple
-        raise ValueError("Euler triple has a non-finite angle")
-    return a.astype(float, copy=False)
+    except ValueError:  # ragged: an object, refused below as a misfit or by _numbers
+        a = np.array(None)
+    if not (a.shape == shape or shape[-1:] == (...,) and a.shape[: len(shape) - 1] == shape[:-1]):
+        raise TypeError("Euler triple must hold real numbers, three to a triple")
+    return _numbers(a, float, "Euler triple")
 
 
 # holds every qubit count 1..10 at once (2S = 2^N - 1; complex, 22.4 MB together)
@@ -182,20 +178,20 @@ _SO3_TOL = 1e-10
 
 
 def _so3(matrix) -> np.ndarray:
-    """The matrix as float64 if it is a real, finite 3 x 3 rotation: every entry of
-    R^T R - I, and det R - 1, within 1e-10 of zero. Any other raises ValueError."""
-    r = np.asarray(matrix)
-    if r.shape == (3, 3) and r.dtype.kind in "biuf" and np.isfinite(r).all():
+    """The matrix as _numbers reads it if it is a 3 x 3 rotation: every entry of R^T R - I,
+    and det R - 1, within 1e-10 of zero. Any other real, finite matrix raises ValueError."""
+    r = _numbers(matrix, float, "rotation matrix")
+    if r.shape == (3, 3):
         (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # det as the rows' triple product
         det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
         if np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL and abs(det - 1.0) <= _SO3_TOL:
-            return r.astype(float, copy=False)
-    raise ValueError("not a real 3 x 3 rotation matrix (non-finite, R^T R != I or det R != 1)")
+            return r
+    raise ValueError("not a 3 x 3 rotation matrix (R^T R != I or det R != 1)")
 
 
 def euler_from_so3(matrix: np.ndarray) -> EulerAngles:
-    """Euler triple with so3_matrix(result) equal to the given rotation matrix. A
-    matrix that is not a real, finite 3 x 3 rotation within 1e-10 raises ValueError."""
+    """Euler triple with so3_matrix(result) equal to the given rotation matrix. A complex
+    matrix raises TypeError, and one not a finite 3 x 3 rotation within 1e-10 ValueError."""
     r = _so3(matrix)
     # standard z-y-z extraction of Rz(a) Ry(b) Rz(c), then flip the z signs
     rho = np.hypot(r[0, 2], r[1, 2])

@@ -47,19 +47,29 @@ def _count(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r:.40}")
 
 
+def _numbers(values, dtype, name: str) -> np.ndarray:
+    """values as a float64 or complex128 array (dtype float or complex), else an error
+    naming them: TypeError unless each entry is a number, and a real one for float,
+    ValueError if one is NaN or infinite. The one rule for which inputs are numbers."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged: refused below as an object
+        a = np.array(None)
+    if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        real = "" if dtype is complex else "real "
+        raise TypeError(f"{name} must hold {real}numbers, got {a.dtype} entries")
+    if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a few entries
+        raise ValueError(f"{name} has a non-finite entry")
+    return a.astype(dtype, copy=False)
+
+
 def _vector(values, fits, expected: str, name: str) -> np.ndarray:
-    """A read-only complex copy of values, else an error naming the vector: TypeError
-    unless the entries are numbers, ValueError unless it is 1-d with a length that fits
-    (expected describes it), finite and not all zero. The one reader of state
-    amplitudes, polynomial coefficients and ray vectors."""
-    v = np.array(values, ndmin=1)
-    if v.dtype.kind not in "biufc":
-        raise TypeError(f"{name} must hold numbers, got {v.dtype} entries")
-    v = v.astype(complex, copy=False)
+    """A read-only copy of values as _numbers reads them, else a ValueError naming the
+    vector unless it is 1-d with a length that fits (expected describes it) and not all
+    zero. The one reader of state amplitudes, polynomial coefficients and ray vectors."""
+    v = np.array(_numbers(values, complex, name), ndmin=1)
     if v.ndim != 1 or not fits(v.shape[0]):
         raise ValueError(f"{name}: expected a 1-d array of {expected}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has a non-finite entry")
     if not np.any(np.abs(v) > 0):
         raise ValueError(f"{name} is identically zero")
     v.flags.writeable = False

@@ -54,7 +54,7 @@ def test_non_finite_angles_are_refused_wherever_a_constellation_is_built():
         bloch_point(np.nan, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         so3_matrix(EulerAngles(np.nan, 0.0, 0.0))
-    with pytest.raises(ValueError, match="non-finite"):  # rotations._so3 refuses the NaN matrix
+    with pytest.raises(ValueError, match="non-finite"):  # the number reader refuses the NaN matrix
         rotate_constellation(equator, np.full((3, 3), np.nan))
 
 

@@ -78,15 +78,17 @@ def test_state_from_spinors_rejects_empty_and_null():
         state_from_spinors([Spinor(1, 0), Spinor(0, 0)])
     with pytest.raises(ValueError, match=null):
         state_from_spinors([Spinor(1, 0), Spinor(0, 0), Spinor(0.6, 0.8j)])
-    for wrong in ([[1, 2, 3]], np.ones((2, 2, 2))):
+    for wrong in ([[1, 2, 3]], np.ones((2, 2, 2)), 5, np.float64(1)):
         with pytest.raises(ValueError, match=r"^spinors: expected 2S \(alpha, beta\) pairs"):
             state_from_spinors(wrong)
+    with pytest.raises(TypeError, match="^spinors must hold numbers"):
+        state_from_spinors("ab")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
 def test_state_from_spinors_refuses_non_finite_spinors(bad):
     # the spinors are blamed, not the state they would have made
-    with pytest.raises(ValueError, match="spinors must be finite"):
+    with pytest.raises(ValueError, match="^spinors has a non-finite entry"):
         state_from_spinors([(bad, 1.0)] * 3)
 
 

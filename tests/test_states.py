@@ -14,22 +14,30 @@ from stellar import (
     RenderSpec,
     SpinState,
     alt_constellation,
+    bloch_point,
     constellation_from_json,
     constellation_to_json,
     decimal_index,
+    euler_from_so3,
+    evaluate,
     find_roots,
+    geodesic_distance,
     label_from_index,
     majorana_polynomial,
     make_pure_state,
+    point_from_cartesian,
     points_from_roots,
     qubits_from_spin,
     ray_fidelity,
     rays_equal,
+    so3_matrix,
     spin_from_qubits,
     sqrt_binomials,
     state_from_json,
+    state_from_spinors,
     state_to_json,
     tensor_product,
+    to_cartesian,
     wigner_D,
     wigner_small_d,
 )
@@ -300,6 +308,46 @@ def test_vector_readers_refuse_entries_that_are_not_numbers(read, name, vector):
     # numpy would parse the strings; None and big ints make an object array
     with pytest.raises(TypeError, match=f"^{name} must hold numbers"):
         read(vector)
+
+
+# every other entry point that reads numbers, each putting one value v into the
+# argument it names; every one reads them by the same rule as VECTOR_READERS
+NUMBER_READERS = {
+    "Constellation": (lambda v: Constellation((BlochPoint(v, 0.0),), 1), "theta"),
+    "bloch_point-theta": (lambda v: bloch_point(v, 0.0), "theta"),
+    "bloch_point-phi": (lambda v: bloch_point(0.5, v), "phi"),
+    "to_cartesian": (lambda v: to_cartesian(BlochPoint(v, 0.0)), "theta"),
+    "geodesic_distance": (
+        lambda v: geodesic_distance(BlochPoint(0.5, 0.0), BlochPoint(0.5, v)), "phi"
+    ),
+    "points_from_roots": (lambda v: points_from_roots([v], 0, 1), "roots"),
+    "point_from_cartesian": (lambda v: point_from_cartesian([v, 0.0, 1.0]), "v"),
+    "state_from_spinors": (lambda v: state_from_spinors([(v, 1.0)]), "spinors"),
+    "evaluate": (lambda v: evaluate(ComplexPolynomial([1, 2]), v), "x"),
+    "so3_matrix": (lambda v: so3_matrix((v, 0.0, 0.0)), "Euler triple"),
+    "euler_from_so3": (
+        lambda v: euler_from_so3([[v, 0, 0], [0, 1, 0], [0, 0, 1]]), "rotation matrix"
+    ),
+}
+
+
+@pytest.mark.parametrize("read, name", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
+@pytest.mark.parametrize(
+    "value",
+    ["1", b"1", None, 2**70, [1, [2, 3]]],
+    ids=["str", "bytes", "None", "beyond-int64", "ragged"],
+)
+def test_number_readers_refuse_entries_that_are_not_numbers(read, name, value):
+    # numpy would parse the strings; the others make an object array
+    with pytest.raises(TypeError, match=f"^{name} must hold (real )?numbers"):
+        read(value)
+
+
+@pytest.mark.parametrize("read, name", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_number_readers_refuse_non_finite_entries(read, name, value):
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        read(value)
 
 
 # each entry builds an object from one caller-owned array, and lists the arrays it holds
