@@ -35,10 +35,10 @@ class BlochPoint:
 class Constellation:
     """Multiset of sphere points; expected_size tracks 2S or 2^N - 1.
 
-    The points are stored as read-only float64 copies, thetas and phis, that no
-    caller shares. The tuple of BlochPoints in .points is built from those
-    arrays only, on first access, and cached; so its angles are floats even
-    where the BlochPoints given to the constructor held ints.
+    The angles, each read by states._numbers with shape (expected_size,), are stored as
+    read-only float64 copies, thetas and phis, that no caller shares. The tuple of
+    BlochPoints in .points is built from those arrays only, on first access, and cached;
+    so its angles are floats even where the BlochPoints given to the constructor held ints.
     """
 
     def __init__(self, points, expected_size: int):
@@ -54,10 +54,8 @@ class Constellation:
 
     def _store(self, thetas, phis, expected_size: int) -> None:
         expected_size = _count(expected_size, "expected_size")
-        thetas = np.array(_numbers(thetas, float, "theta"))
-        phis = np.array(_numbers(phis, float, "phi"))
-        if thetas.size != expected_size:
-            raise ValueError(f"constellation has {thetas.size} points, expected {expected_size}")
+        thetas = np.array(_numbers(thetas, float, "theta", (expected_size,)))
+        phis = np.array(_numbers(phis, float, "phi", (expected_size,)))
         thetas.flags.writeable = phis.flags.writeable = False
         self.__dict__.update(thetas=thetas, phis=phis, expected_size=expected_size)
 
@@ -103,24 +101,22 @@ def _from_cartesian(rows) -> Constellation:
 
 
 def bloch_point(theta: float, phi: float) -> BlochPoint:
-    """Canonicalize angles read by _numbers: clamp theta into [0, pi], wrap phi, fix poles."""
-    return _from_angles(_numbers([theta], float, "theta"), _numbers([phi], float, "phi")).points[0]
+    """Clamp theta into [0, pi], wrap phi and fix poles, each angle read by _numbers as a scalar."""
+    theta, phi = _numbers(theta, float, "theta", ()), _numbers(phi, float, "phi", ())
+    return _from_angles(theta.reshape(1), phi.reshape(1)).points[0]
 
 
 def points_from_roots(roots, leading_deficiency: int, expected_size: int) -> Constellation:
     """Map polynomial roots to sphere points via tan(theta/2) e^{i phi} = x.
 
-    Each missing leading degree is a root at infinity, one south-pole point, so the 1-d
-    roots, finite as _numbers reads them, and leading_deficiency >= 0 make expected_size points.
+    Each missing leading degree is a root at infinity, one south-pole point, so a deficiency >= 0
+    and roots that _numbers reads as shape (expected_size - deficiency,) make expected_size points.
     """
     leading_deficiency = _count(leading_deficiency, "leading_deficiency")
-    expected_size = _count(expected_size, "expected_size")
-    roots = _numbers(roots, complex, "roots")
-    if leading_deficiency < 0 or roots.shape != (expected_size - leading_deficiency,):
-        raise ValueError(
-            "need deficiency >= 0 and 1-d roots of expected size - deficiency entries, got "
-            f"roots of shape {roots.shape}, deficiency {leading_deficiency}, size {expected_size}"
-        )
+    if leading_deficiency < 0:
+        raise ValueError(f"leading_deficiency must not be negative, got {leading_deficiency}")
+    shape = (_count(expected_size, "expected_size") - leading_deficiency,)
+    roots = _numbers(roots, complex, "roots", shape)
     x = np.append(roots, np.full(leading_deficiency, np.inf))
     # hypot, not np.abs: on AVX-512 np.abs can differ from the scalar in the last bit
     return _from_angles(2.0 * np.arctan(np.hypot(x.real, x.imag)), np.angle(x))
@@ -135,8 +131,8 @@ def to_cartesian(obj) -> np.ndarray:
 
 
 def point_from_cartesian(v) -> BlochPoint:
-    """Sphere point for a (not necessarily unit) nonzero 3-vector, read by _numbers."""
-    return _from_cartesian(_numbers(v, float, "v").reshape(1, 3)).points[0]
+    """Sphere point for a nonzero 3-vector, not necessarily unit, read by _numbers as shape (3,)."""
+    return _from_cartesian(_numbers(v, float, "v", (3,))[None]).points[0]
 
 
 def _angle(u, v) -> np.ndarray:

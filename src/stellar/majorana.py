@@ -94,13 +94,13 @@ def qubit_majorana_polynomial(state: PureState) -> ComplexPolynomial:
 
 
 def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0) -> SpinState:
-    """Symmetrized state of 2S spinors, Spinors or a (2S, 2) array, over the
-    binomial weights. A spinor with alpha = 0 (a south-pole direction) lowers
-    the product degree; the all-zero spinor is rejected. The factors, padded
-    with (0, 1), are expanded in L blocks of m = isqrt(2S) + 1 side by side and
-    folded together by windowed einsums. To first order (u, mu as in
-    polyroots._horner) a term of c_j passes 2S - 1 products and at most
-    2S - L + (L - 1) m < 4S additions, so |error_j| <= ((2S - 1) mu +
+    """Symmetrized state of 2S spinors, Spinors or a (2S, 2) array, over the binomial
+    weights, times scale, which states._numbers reads as one complex number and which must
+    not be zero. A spinor with alpha = 0 (a south-pole direction) lowers the product degree;
+    the all-zero spinor is rejected. The factors, padded with (0, 1), are expanded in L
+    blocks of m = isqrt(2S) + 1 side by side and folded together by windowed einsums. To
+    first order (u, mu as in polyroots._horner) a term of c_j passes 2S - 1 products and at
+    most 2S - L + (L - 1) m < 4S additions, so |error_j| <= ((2S - 1) mu +
     (2S - L + (L - 1) m) u) M_j < (sqrt(2) + 1) 2S eps M_j, where M_j is the
     coefficient of x^j in prod_k (|alpha_k| x + |beta_k|)."""
     given = _numbers(spinors, complex, "spinors")
@@ -116,7 +116,7 @@ def state_from_spinors(spinors: list[Spinor] | np.ndarray, scale: complex = 1.0)
     alpha, beta = pairs.T.reshape(2, blocks, m, 1)
     if np.any((alpha == 0) & (beta == 0)):
         raise ValueError("spinor (0, 0) does not define a direction")
-    if not (np.isfinite(scale) and scale != 0):
+    if _numbers(scale, complex, "scale", ()) == 0:
         raise ValueError("scale must be finite and nonzero")
     parts = np.zeros((blocks, m + 1), dtype=complex)
     parts[:, 0] = 1.0

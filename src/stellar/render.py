@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Constellation, to_cartesian
-from .states import _count
+from .states import _count, _numbers
 
 __all__ = ["RenderSpec", "render_svg"]
 
@@ -26,6 +26,8 @@ _LIMB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """Drawing options; point_radius_px is held as a float, and show_axes must be a bool."""
+
     projection: str = "front"
     size_px: int = 512
     show_axes: bool = False
@@ -33,12 +35,16 @@ class RenderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "size_px", _count(self.size_px, "size_px"))
+        radius = float(_numbers(self.point_radius_px, float, "point_radius_px", ()))
+        object.__setattr__(self, "point_radius_px", radius)
+        if not isinstance(self.show_axes, (bool, np.bool_)):
+            raise TypeError(f"show_axes must be a bool, got {self.show_axes!r:.40}")
         if self.projection not in ("front", "top"):
             raise ValueError(f"unknown projection {self.projection!r}")
         if not _MIN_SIZE <= self.size_px <= sys.float_info.max:  # geometry is float64
             raise ValueError(f"size_px must be at least {_MIN_SIZE} and within float64 range")
-        if not 0 < self.point_radius_px < np.inf:
-            raise ValueError("point_radius_px must be positive and finite")
+        if radius <= 0:
+            raise ValueError(f"point_radius_px must be positive, got {radius!r}")
 
 
 def _fmt(v: float) -> str:

@@ -178,14 +178,13 @@ _SO3_TOL = 1e-10
 
 
 def _so3(matrix) -> np.ndarray:
-    """The matrix as _numbers reads it if it is a 3 x 3 rotation: every entry of R^T R - I,
-    and det R - 1, within 1e-10 of zero. Any other real, finite matrix raises ValueError."""
-    r = _numbers(matrix, float, "rotation matrix")
-    if r.shape == (3, 3):
-        (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # det as the rows' triple product
-        det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
-        if np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL and abs(det - 1.0) <= _SO3_TOL:
-            return r
+    """The matrix as _numbers reads it, of shape (3, 3), if it is a rotation: every entry of
+    R^T R - I, and det R - 1, within 1e-10 of zero. Any other such matrix raises ValueError."""
+    r = _numbers(matrix, float, "rotation matrix", (3, 3))
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # det as the rows' triple product
+    det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    if np.abs(r.T @ r - np.eye(3)).max() <= _SO3_TOL and abs(det - 1.0) <= _SO3_TOL:
+        return r
     raise ValueError("not a 3 x 3 rotation matrix (R^T R != I or det R != 1)")
 
 

@@ -47,10 +47,10 @@ def _count(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r:.40}")
 
 
-def _numbers(values, dtype, name: str) -> np.ndarray:
-    """values as a float64 or complex128 array (dtype float or complex), else an error
-    naming them: TypeError unless each entry is a number, and a real one for float,
-    ValueError if one is NaN or infinite. The one rule for which inputs are numbers."""
+def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray:
+    """The one rule for which inputs are numbers: values as a float64 or complex128 array (dtype
+    float or complex), else TypeError naming them unless each entry is a number (a real one for
+    float), then ValueError unless it has the given shape, () a scalar, or if one is NaN or inf."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged: refused below as an object
@@ -58,6 +58,8 @@ def _numbers(values, dtype, name: str) -> np.ndarray:
     if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
         real = "" if dtype is complex else "real "
         raise TypeError(f"{name} must hold {real}numbers, got {a.dtype} entries")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} of shape {a.shape}, expected {shape}")
     if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a few entries
         raise ValueError(f"{name} has a non-finite entry")
     return a.astype(dtype, copy=False)
@@ -202,9 +204,10 @@ def ray_fidelity(a, b) -> float:
 
 
 def rays_equal(a, b, tol: float = DEFAULT_RAY_TOL) -> bool:
-    """Whether two amplitude vectors agree up to one global complex scale. A NaN
-    or negative tol is refused with ValueError."""
-    if not tol >= 0:
+    """Whether two amplitude vectors agree up to one global complex scale. tol is read
+    by _numbers as one real number, and a negative one is refused with ValueError."""
+    tol = float(_numbers(tol, float, "tol", ()))
+    if tol < 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     ab, aa, bb = _overlap_terms(a, b)
     # Cauchy-Schwarz defect normalized to the vector norms

@@ -97,7 +97,8 @@ def test_state_from_spinors_refuses_non_finite_spinors(bad):
 )
 def test_state_from_spinors_refuses_a_non_finite_or_zero_scale(scale):
     # a bad argument, not a bad state: the message names scale
-    with pytest.raises(ValueError, match="scale must be finite and nonzero"):
+    message = "scale must be finite and nonzero" if scale == 0 else "^scale has a non-finite entry"
+    with pytest.raises(ValueError, match=message):
         state_from_spinors([(0.6, 0.8j)] * 3, scale=scale)
 
 

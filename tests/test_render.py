@@ -115,11 +115,20 @@ def test_point_radius_is_respected():
         {"point_radius_px": -2.0},
         {"point_radius_px": np.inf},
         {"point_radius_px": np.nan},
+        {"show_axes": "no"},
+        {"show_axes": 1},
     ],
 )
 def test_render_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    # a flag read by truthiness would draw the axes for "no"
+    with pytest.raises(TypeError if "show_axes" in kwargs else ValueError):
         RenderSpec(**kwargs)
+
+
+def test_render_spec_holds_a_float_radius_and_takes_a_numpy_bool():
+    spec = RenderSpec(show_axes=np.True_, point_radius_px=np.float32(6))
+    assert type(spec.point_radius_px) is float and spec.point_radius_px == 6.0
+    assert render_svg(helpers.make_constellation([(0.3, 0.0)]), spec).count("<line") == 2
 
 
 # recorded from the point-by-point projection and sort that the array path replaced

@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 
 import numpy as np
@@ -17,6 +18,7 @@ from stellar import (
     bloch_point,
     constellation_from_json,
     constellation_to_json,
+    decide_separability,
     decimal_index,
     euler_from_so3,
     evaluate,
@@ -328,6 +330,12 @@ NUMBER_READERS = {
     "euler_from_so3": (
         lambda v: euler_from_so3([[v, 0, 0], [0, 1, 0], [0, 0, 1]]), "rotation matrix"
     ),
+    # the scalars that govern a computation, each read as one number of shape ()
+    "find_roots-tol": (lambda v: find_roots(ComplexPolynomial([1, 2]), tol=v), "tol"),
+    "rays_equal-tol": (lambda v: rays_equal([1, 0], [1, 0], tol=v), "tol"),
+    "decide_separability-tol": (lambda v: decide_separability(PureState(1, [1, 0]), v), "tol"),
+    "state_from_spinors-scale": (lambda v: state_from_spinors([(1, 1)], scale=v), "scale"),
+    "RenderSpec": (lambda v: RenderSpec(point_radius_px=v), "point_radius_px"),
 }
 
 
@@ -348,6 +356,32 @@ def test_number_readers_refuse_entries_that_are_not_numbers(read, name, value):
 def test_number_readers_refuse_non_finite_entries(read, name, value):
     with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
         read(value)
+
+
+PAIR = np.array([0.5, 0.25])
+
+# each entry gives the number reader an argument of a shape it refuses, under the
+# name its refusal gives; the scalars of NUMBER_READERS are given as length-2 arrays
+SHAPE_READERS = {
+    "bloch_point-theta": (lambda: bloch_point(PAIR, 0.0), "theta"),
+    "bloch_point-phi": (lambda: bloch_point(0.5, PAIR), "phi"),
+    "Constellation": (lambda: Constellation((BlochPoint(PAIR, 0.0),), 1), "theta"),
+    "point_from_cartesian-2": (lambda: point_from_cartesian([1.0, 0.0]), "v"),
+    "point_from_cartesian-6": (lambda: point_from_cartesian(np.ones(6)), "v"),
+    "euler_from_so3": (lambda: euler_from_so3(np.eye(2)), "rotation matrix"),
+    **{
+        key: (functools.partial(read, PAIR), name)
+        for key, (read, name) in NUMBER_READERS.items()
+        if name in ("tol", "scale", "point_radius_px")
+    },
+}
+
+
+@pytest.mark.parametrize("read, name", SHAPE_READERS.values(), ids=SHAPE_READERS.keys())
+def test_number_readers_refuse_a_shape_that_does_not_fit(read, name):
+    # before, these raised numpy's errors or returned array-valued angles
+    with pytest.raises(ValueError, match=f"^{name} of shape"):
+        read()
 
 
 # each entry builds an object from one caller-owned array, and lists the arrays it holds
