@@ -50,12 +50,13 @@ def _count(value, name: str) -> int:
 def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray:
     """The one rule for which inputs are numbers: values as a float64 or complex128 array (dtype
     float or complex), else TypeError naming them unless each entry is a number (a real one for
-    float), then ValueError unless it has the given shape, () a scalar, or if one is NaN or inf."""
+    float; a bool is none, as for _count), then ValueError unless it has the given shape, () a
+    scalar, or if one is NaN or inf."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged: refused below as an object
         a = np.array(None)
-    if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         real = "" if dtype is complex else "real "
         raise TypeError(f"{name} must hold {real}numbers, got {a.dtype} entries")
     if shape is not None and a.shape != shape:

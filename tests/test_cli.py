@@ -476,6 +476,16 @@ def test_unreachable_tolerance_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_coefficients_near_the_float64_limit_exit_three_with_one_error_line(tmp_path, capsys):
+    # every amplitude 1e308: the derivative rows overflow, the iteration fails, and
+    # stderr carries the error alone, no numpy RuntimeWarning
+    state = helpers.make_pure_state(3, np.full(8, 1e308))
+    code, out, err = run(capsys, ["points", write_state(tmp_path, state), "--encoding", "alt"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: root iteration failed") and err.count("\n") == 1
+
+
 def test_unreachable_tolerance_names_the_rounding_floor(tmp_path, capsys):
     # degree 3 after deflation: the floor is 2 * 3 * eps = 1.332e-15
     state = helpers.make_pure_state(2, [1.1, 2.3, -0.7, 0.9])

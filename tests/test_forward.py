@@ -49,10 +49,10 @@ def constellation(encoding, state):
 # below; the bytes are those of the Aberth iterates, which certification
 # never moves
 FORWARD_DIGESTS = {
-    ("majorana", 9): "d409fa1f3d0df7e6d5b9b27ff936c75ec523968e2223b4b80844790f9c3656f7",
-    ("alt", 9): "5ba44bef3f13a3eb8de70cae167435360b3c1bf2803b3dc546150b2d95231815",
-    ("majorana", 10): "74968c098f83d5d1fc129ad503a7f391e0c3ea24a0949f5189bc4a204f706a7f",
-    ("alt", 10): "7ce49c82e3d88538930d68acfe30cc5a451a449ac13bf1af9873fcd3b8dcd11c",
+    ("majorana", 9): "18fa826117d665c2b94e7f254200d4a4570232ffc29cb81cb2652a62c4c9c152",
+    ("alt", 9): "8a9b60170344d23b85040369df0fbb93cae60e88328c423b236920beedf310f4",
+    ("majorana", 10): "cd0da2c7d7f0fffacec8d2031aefcee5febd2b5754efabe1ddfa3aeb8eae00e0",
+    ("alt", 10): "3856111a997fdfd3220a9ba01c7f9321096919dfed078a8b0b4f59b1ba419015",
 }
 
 # 10-qubit product states of Gaussian factors whose exact roots, rounded to

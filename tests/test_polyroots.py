@@ -12,6 +12,7 @@ from stellar import (
     ComplexPolynomial,
     RootFindingError,
     SpinState,
+    alt_polynomial,
     evaluate,
     find_roots,
     majorana_constellation,
@@ -282,6 +283,57 @@ def test_starts_lie_on_the_newton_polygon_circles():
     # circle of radius 1e-3 and two on the circle of radius 1e3
     starts = stellar.polyroots._newton_polygon_starts(np.array([1.0, 1e3, 1.0, 1e-3]))
     np.testing.assert_allclose(np.sort(np.abs(starts)), [1e-3, 1e3, 1e3], rtol=1e-12)
+
+
+def test_long_edges_start_at_their_binomials_roots_turned():
+    # x^4 - 16 is the one hull edge (0, 4): its starts are the roots 2 i^k turned by
+    # _TURN / 4; 0.5 + (2 - 1j) x^2 + 1e-3j x^6 has the edges (0, 2) and (2, 6)
+    turn = stellar.polyroots._TURN
+    starts = stellar.polyroots._newton_polygon_starts(np.array([-16.0, 0, 0, 0, 1]))
+    expected = 2.0 * np.exp(1j * (np.pi / 2 * np.arange(4) + turn / 4))
+    assert helpers.max_complex_mismatch(starts, expected) <= 1e-14
+    c = np.array([0.5, 0, 2 - 1j, 0, 0, 0, 1e-3j])
+    starts = stellar.polyroots._newton_polygon_starts(c)
+    for (i, j), edge in zip([(0, 2), (2, 6)], np.split(starts, [2])):
+        ratio, m = -c[i] / c[j], j - i
+        angles = (np.angle(ratio) + turn + 2 * np.pi * np.arange(m)) / m
+        expected = np.abs(ratio) ** (1 / m) * np.exp(1j * angles)
+        assert helpers.max_complex_mismatch(edge, expected) <= 1e-13 * np.abs(expected[0])
+
+
+def test_a_length_1_edge_keeps_the_spread_angle():
+    # hull vertices (0, 0), (2, log 1e3), (3, log 1e-3): the edge (2, 3) starts at
+    # 2 pi i / n + _SPREAD on the circle of radius 1e6, not at its binomial's root -1e6
+    starts = stellar.polyroots._newton_polygon_starts(np.array([1.0, 0, 1e3, 1e-3]))
+    angle = 2 * np.pi * 2 / 3 + stellar.polyroots._SPREAD
+    np.testing.assert_allclose(starts[2], 1e6 * np.exp(1j * angle), rtol=1e-13)
+
+
+# at most this many Aberth passes for a product state's alt polynomial: each qubit's
+# binomial a_j + b_j x^(2^j) is one hull edge, whose starts lie next to its roots
+# (9-15 passes with every edge started at spread angles)
+PRODUCT_PASSES = 7
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_product_states_take_few_aberth_passes(monkeypatch, n):
+    calls = []
+    horner = stellar.polyroots._horner
+    monkeypatch.setattr(stellar.polyroots, "_horner", lambda *a: calls.append(1) or horner(*a))
+    for seed in range(3):
+        state = helpers.product_state(helpers.product_factors(seed)[:n])
+        calls.clear()
+        find_roots(alt_polynomial(state))
+        assert len(calls) - 1 <= PRODUCT_PASSES, seed  # the last call certifies
+
+
+def test_coefficients_near_the_float64_limit_raise_the_root_finding_error_alone():
+    # the derivative rows k c_k overflow; the iterates turn non-finite and stop the
+    # iteration, and no RuntimeWarning precedes the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match=r"best residual nan"):
+            find_roots(ComplexPolynomial(np.full(8, 1e308)))
 
 
 def test_certification_is_one_float64_pass(monkeypatch):

@@ -303,11 +303,19 @@ def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, messa
 @pytest.mark.parametrize("read, name", VECTOR_READERS.values(), ids=VECTOR_READERS.keys())
 @pytest.mark.parametrize(
     "vector",
-    [["1", "0", "0", "1"], [b"1", b"0", b"0", b"1"], [None, 1, 0, 1], [2**70, 1, 0, 1]],
-    ids=["str", "bytes", "None", "beyond-int64"],
+    [
+        ["1", "0", "0", "1"],
+        [b"1", b"0", b"0", b"1"],
+        [None, 1, 0, 1],
+        [2**70, 1, 0, 1],
+        [True, False, False, True],
+        np.array([True, False, False, True]),
+    ],
+    ids=["str", "bytes", "None", "beyond-int64", "bool", "numpy-bool"],
 )
 def test_vector_readers_refuse_entries_that_are_not_numbers(read, name, vector):
-    # numpy would parse the strings; None and big ints make an object array
+    # numpy would parse the strings and read bools as 0 and 1; None and big ints make
+    # an object array
     with pytest.raises(TypeError, match=f"^{name} must hold numbers"):
         read(vector)
 
@@ -348,6 +356,27 @@ NUMBER_READERS = {
 def test_number_readers_refuse_entries_that_are_not_numbers(read, name, value):
     # numpy would parse the strings; the others make an object array
     with pytest.raises(TypeError, match=f"^{name} must hold (real )?numbers"):
+        read(value)
+
+
+# NUMBER_READERS given a bool: where v shares a list with floats, numpy reads it as
+# 0.0 or 1.0 before any reader sees it, so these four readers get bools only
+MIXED = {
+    "point_from_cartesian": lambda v: point_from_cartesian([v, v, v]),
+    "state_from_spinors": lambda v: state_from_spinors([(v, v)]),
+    "so3_matrix": lambda v: so3_matrix((v, v, v)),
+    "euler_from_so3": lambda v: euler_from_so3(np.full((3, 3), v)),
+}
+BOOL_READERS = {
+    key: (MIXED.get(key, read), name) for key, (read, name) in NUMBER_READERS.items()
+}
+
+
+@pytest.mark.parametrize("read, name", BOOL_READERS.values(), ids=BOOL_READERS.keys())
+@pytest.mark.parametrize("value", [True, np.False_], ids=["bool", "numpy-bool"])
+def test_number_readers_refuse_bools(read, name, value):
+    # as _count refuses a bool as a count; numpy would read it as 0 or 1
+    with pytest.raises(TypeError, match=f"^{name} must hold (real )?numbers, got bool entries"):
         read(value)
 
 
