@@ -310,8 +310,8 @@ def test_a_length_1_edge_keeps_the_spread_angle():
 
 
 # at most this many Aberth passes for a product state's alt polynomial: each qubit's
-# binomial a_j + b_j x^(2^j) is one hull edge, whose starts lie next to its roots
-# (9-15 passes with every edge started at spread angles)
+# binomial a_j + b_j x^(2^j) is one hull edge, whose starts lie next to its roots;
+# spread angles on every edge would take 9-15
 PRODUCT_PASSES = 7
 
 
