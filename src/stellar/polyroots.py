@@ -119,6 +119,7 @@ def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
 _EPS = np.finfo(float).eps
 # rows of the Aberth pairwise step formed at once: a cache tile, (64, n) float64 arrays
 _ROWS = 64
+_DIAGONAL = np.arange(_ROWS)
 # start angles: 2 pi i / n + _SPREAD on a length-1 Newton-polygon edge i, a longer edge's binomial
 # roots turned by _TURN / (j - i). Neither is a multiple of pi, so a real polynomial's starts are
 # not symmetric under conjugation, which Aberth would keep. Over 60 product states (N = 3..8) and
@@ -151,17 +152,17 @@ def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append((k, lk))
-    starts = []
+    radii, angles = [], []
     for (i, li), (j, lj) in zip(hull, hull[1:]):
         m = j - i
         if m == 1:
-            angles = np.array([2.0 * np.pi * (i / n) + _SPREAD])
+            angles.append(np.array([2.0 * np.pi * (i / n) + _SPREAD]))
         else:  # the roots of x^m = -c_i / c_j, turned
             ci, cj = coeffs[i].item(), coeffs[j].item()
             phase = math.atan2(ci.imag, ci.real) - math.atan2(cj.imag, cj.real) + math.pi + _TURN
-            angles = (phase + 2.0 * np.pi * np.arange(m)) / m
-        starts.append(np.exp((li - lj) / m + 1j * angles))
-    return np.concatenate(starts)
+            angles.append((phase + 2.0 * np.pi * np.arange(m)) / m)
+        radii.append(np.full(m, (li - lj) / m))
+    return np.exp(np.concatenate(radii) + 1j * np.concatenate(angles))
 
 
 def _tables(coeffs: np.ndarray):
@@ -183,7 +184,10 @@ def _blocked(table: np.ndarray, moduli: np.ndarray, z: np.ndarray, cut: int):
     first side at z[:cut] and any second at z[cut:]: r = sum_b B_b w^b, w = z^m
     (Paterson & Stockmeyer 1973), each B_b an einsum row against z^0..z^(m-1)."""
     blocks, m = moduli.shape[1:]
-    powers, radii = (np.vander(v, m + 1, increasing=True) for v in (z, np.abs(z)))
+    powers, radii = np.empty((z.size, m + 1), complex), np.empty((z.size, m + 1))
+    for table_of_powers, v in ((powers, z), (radii, np.abs(z))):  # np.vander's steps
+        table_of_powers[:, 0], table_of_powers[:, 1:] = 1.0, v[:, None]
+        np.multiply.accumulate(table_of_powers[:, 1:], axis=1, out=table_of_powers[:, 1:])
     parts, sums = np.empty((blocks, table.shape[1], z.size), complex), np.empty((blocks, z.size))
     for rows, sizes, at in zip(table, moduli, (slice(cut), slice(cut, None))):
         np.einsum("kbi,pi->bkp", rows, powers[at, :m], out=parts[:, :, at])
@@ -211,12 +215,14 @@ def _horner(tables, x: np.ndarray):
     n, table, moduli = tables
     big = np.abs(x) > 1.0
     order, cut = np.argsort(big, kind="stable"), x.size - np.count_nonzero(big)
-    z = np.concatenate([x[order[:cut]], 1.0 / x[order[cut:]]])  # p's points, then q's
+    z = x[order]  # p's points, then q's
+    np.divide(1.0, z[cut:], out=z[cut:])
     acc, s = _blocked(table, moduli, z, cut)
     for den in acc[1:]:  # none for tables of value rows only
         den[cut:] = n * z[cut:] * acc[0, cut:] - z[cut:] * z[cut:] * den[cut:]
-    back = np.argsort(order)
-    return (*acc[:, back], s[back])
+    values, sums = np.empty_like(acc), np.empty_like(s)
+    values[:, order], sums[order] = acc, s
+    return (*values, sums)
 
 
 def _aberth(coeffs: np.ndarray, tables, max_iterations: int) -> np.ndarray:
@@ -238,21 +244,22 @@ def _aberth(coeffs: np.ndarray, tables, max_iterations: int) -> np.ndarray:
             v, den, s = _horner(tables, xl)
             # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals, for
             # _ROWS live roots at a time, so that no (live, n) array is formed
-            sums = np.empty(live.size, dtype=complex)
+            sums, xr, xi = np.empty(live.size, dtype=complex), x.real.copy(), x.imag.copy()
             for at in range(0, live.size, _ROWS):
                 block = slice(at, at + _ROWS)
-                dr, di = xl.real[block, None] - x.real, xl.imag[block, None] - x.imag
+                dr, di = xl.real[block, None] - xr, xl.imag[block, None] - xi
                 sq = dr * dr + di * di
-                sq[np.arange(dr.shape[0]), live[block]] = np.inf
+                sq[_DIAGONAL[: dr.shape[0]], live[block]] = np.inf
                 dr /= sq
                 di /= sq
                 sums[block] = dr.sum(axis=1) - 1j * di.sum(axis=1)
             # the Aberth step N / (1 - N sums), N = v / den, with one division;
             # a value that rounds to zero gives a step of exactly zero
             den -= v * sums
-            x[live] = xl - np.divide(v, den, out=np.zeros_like(v), where=v != 0)
+            xl -= np.divide(v, den, out=np.zeros_like(v), where=v != 0)
+            x[live] = xl
             # a non-finite iterate never recovers
-            if not np.all(np.isfinite(x[live])):
+            if not np.all(np.isfinite(xl)):
                 break
             live = live[np.abs(v) > noise * s]
             if live.size == 0:
