@@ -2,11 +2,14 @@
 
 Roots are found by Aberth-Ehrlich simultaneous iteration, as in MPSolve
 (Bini & Fiorentino, Numer. Algorithms 23, 2000). The starting points lie on
-the circles of the Newton polygon, the upper convex hull of (k, log|c_k|).
-An edge of length 2 or more starts at its binomial's roots, slightly turned,
-so the alt polynomial of a product state starts next to its roots; a length-1
-edge keeps a spread angle, so that a rotated coherent state's many do not
-start on one ray.
+the circles of the Newton polygon, the upper convex hull of (k, log|c_k|),
+at the roots of each edge's binomial. A binomial root that already is a root
+of the polynomial is kept, as every root of a product state's alt polynomial,
+of a GHZ polynomial or of x^n - 1 is. Elsewhere a start on an edge of length
+2 or more is turned slightly, and a length-1 edge takes a spread angle
+instead, so that a real polynomial's starts are not symmetric under
+conjugation and a rotated coherent state's many length-1 edges do not start
+on one ray.
 At a point with |x| > 1 the reversed polynomial is evaluated at y = 1/x, so
 no power of |x| is formed. A root stops iterating once its value is below
 the rounding bound of its evaluation, but still counts in the others' Aberth
@@ -117,28 +120,34 @@ def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
 
 
 _EPS = np.finfo(float).eps
+# a binomial root replaces its start where its Newton step is at most _SQRT_EPS |x|: it then lies
+# about that close to a root, so conjugation symmetry cannot trap it
+_SQRT_EPS = math.sqrt(_EPS)
 # rows of the Aberth pairwise step formed at once: a cache tile, (64, n) float64 arrays
 _ROWS = 64
 _DIAGONAL = np.arange(_ROWS)
-# start angles: 2 pi i / n + _SPREAD on a length-1 Newton-polygon edge i, a longer edge's binomial
-# roots turned by _TURN / (j - i). Neither is a multiple of pi, so a real polynomial's starts are
-# not symmetric under conjugation, which Aberth would keep. Over 60 product states (N = 3..8) and
-# 192 rotated Dicke states (2S = 3..255), turns of 0.1, 0.2 and 0.5 took a mean of 4.7, 5.2 and
-# 7.1 passes and failed 21, 19 and 14 times
+# start angles where the binomial's own root is not yet a root: 2 pi i / n + _SPREAD on a length-1
+# Newton-polygon edge i, a longer edge's binomial roots turned by _TURN / (j - i). Neither is a
+# multiple of pi, so a real polynomial's starts are not symmetric under conjugation, which Aberth
+# would keep. Over 192 rotated Dicke states (2S = 3..255), turns of 0.1, 0.2 and 0.5 failed 21, 19
+# and 14 times; over 60 product states (N = 3..8), before binomial roots were kept, they took a
+# mean of 4.7, 5.2 and 7.1 passes
 _SPREAD, _TURN = 0.7, 0.2
 
 
-def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
-    """Starting points on the circles of the Newton polygon.
+def _newton_polygon_starts(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starting points on the circles of the Newton polygon, and each one's binomial root.
 
     An edge (i, j) of the upper convex hull of (k, log|c_k|) gives j - i
-    points on the circle of radius (|c_i| / |c_j|)^(1/(j - i)). On a longer
-    edge they are the roots of its binomial c_i x^i + c_j x^j turned by
-    _TURN / (j - i), so a product of binomials a + b x^m, as the alt
-    polynomial of a product state is, starts next to its roots. A length-1
-    edge i keeps the spread angle 2 pi i / n + _SPREAD: with its binomial's
-    phase, the many length-1 edges of a rotated coherent state would start
-    on one ray. The phases come from math.atan2, not a numpy SIMD kernel.
+    points on the circle of radius (|c_i| / |c_j|)^(1/(j - i)): the roots of
+    its binomial c_i x^i + c_j x^j, returned second. The starts, returned
+    first, are these roots turned by _TURN / (j - i) on a longer edge, and
+    the spread angle 2 pi i / n + _SPREAD on a length-1 edge i: with its
+    binomial's phase, the many length-1 edges of a rotated coherent state
+    would start on one ray. _aberth keeps a binomial root in place of its
+    start where it already is a root, as every root of a product of
+    binomials a + b x^m, such as the alt polynomial of a product state, is.
+    The phases come from math.atan2, not a numpy SIMD kernel.
     """
     n = coeffs.shape[0] - 1
     mags = np.abs(coeffs)
@@ -152,17 +161,21 @@ def _newton_polygon_starts(coeffs: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append((k, lk))
-    radii, angles = [], []
+    radii, turned, untouched = [], [], []
     for (i, li), (j, lj) in zip(hull, hull[1:]):
         m = j - i
+        ci, cj = coeffs[i].item(), coeffs[j].item()
+        # the binomial's roots, those of x^m = -c_i / c_j, have the angles (phase + 2 pi k) / m
+        phase = math.atan2(ci.imag, ci.real) - math.atan2(cj.imag, cj.real) + math.pi
+        spins = [2.0 * math.pi * k for k in range(m)]
+        untouched += [(phase + t) / m for t in spins]
         if m == 1:
-            angles.append(np.array([2.0 * np.pi * (i / n) + _SPREAD]))
-        else:  # the roots of x^m = -c_i / c_j, turned
-            ci, cj = coeffs[i].item(), coeffs[j].item()
-            phase = math.atan2(ci.imag, ci.real) - math.atan2(cj.imag, cj.real) + math.pi + _TURN
-            angles.append((phase + 2.0 * np.pi * np.arange(m)) / m)
-        radii.append(np.full(m, (li - lj) / m))
-    return np.exp(np.concatenate(radii) + 1j * np.concatenate(angles))
+            turned.append(2.0 * math.pi * (i / n) + _SPREAD)
+        else:
+            turned += [(phase + _TURN + t) / m for t in spins]
+        radii += [(li - lj) / m] * m
+    both = np.exp(np.array(radii + radii) + 1j * np.array(turned + untouched))
+    return both[:n], both[n:]
 
 
 def _tables(coeffs: np.ndarray):
@@ -228,20 +241,28 @@ def _horner(tables, x: np.ndarray):
 def _aberth(coeffs: np.ndarray, tables, max_iterations: int) -> np.ndarray:
     """All roots of a dense polynomial with nonzero ends, simultaneously.
 
+    The first pass also evaluates each start's binomial root, and starts
+    from that root instead wherever its Newton step is at most _SQRT_EPS |x|.
     A root stops iterating once its value is below the rounding bound of
     its evaluation; it still counts in the Aberth sums of the others.
     """
     n = coeffs.shape[0] - 1
     if n <= 1:  # no root, or the root of c_0 + c_1 x
         return -coeffs[:n] / coeffs[n:]
-    x = _newton_polygon_starts(coeffs)
+    x, roots = _newton_polygon_starts(coeffs)
     live = np.arange(n)
     # Horner's rounding error is below about 2n eps sum_k |c_k| |z|^k
     noise = 4.0 * n * _EPS
     with np.errstate(all="ignore"):
-        for _ in range(max_iterations):
+        for k in range(max_iterations):
             xl = x[live]
-            v, den, s = _horner(tables, xl)
+            if k == 0:  # with each start's binomial root, kept where it already is a root
+                v, den, s = _horner(tables, np.concatenate([xl, roots]))
+                keep = np.abs(v[n:] / den[n:]) <= _SQRT_EPS * np.abs(roots)
+                x[keep] = xl[keep] = roots[keep]
+                v, den, s = (np.where(keep, a[n:], a[:n]) for a in (v, den, s))
+            else:
+                v, den, s = _horner(tables, xl)
             # sum over j != i of 1/(x_i - x_j) = conj(dx) / |dx|^2, in reals, for
             # _ROWS live roots at a time, so that no (live, n) array is formed
             sums, xr, xi = np.empty(live.size, dtype=complex), x.real.copy(), x.imag.copy()

@@ -281,19 +281,22 @@ def test_polynomial_rejects_non_finite_coefficients(bad):
 def test_starts_lie_on_the_newton_polygon_circles():
     # hull vertices (0, 0), (1, log 1e3), (3, log 1e-3): one start on the
     # circle of radius 1e-3 and two on the circle of radius 1e3
-    starts = stellar.polyroots._newton_polygon_starts(np.array([1.0, 1e3, 1.0, 1e-3]))
+    starts, _ = stellar.polyroots._newton_polygon_starts(np.array([1.0, 1e3, 1.0, 1e-3]))
     np.testing.assert_allclose(np.sort(np.abs(starts)), [1e-3, 1e3, 1e3], rtol=1e-12)
+
+
+X4_MINUS_16 = np.array([-16.0, 0, 0, 0, 1])
 
 
 def test_long_edges_start_at_their_binomials_roots_turned():
     # x^4 - 16 is the one hull edge (0, 4): its starts are the roots 2 i^k turned by
     # _TURN / 4; 0.5 + (2 - 1j) x^2 + 1e-3j x^6 has the edges (0, 2) and (2, 6)
     turn = stellar.polyroots._TURN
-    starts = stellar.polyroots._newton_polygon_starts(np.array([-16.0, 0, 0, 0, 1]))
+    starts, _ = stellar.polyroots._newton_polygon_starts(X4_MINUS_16)
     expected = 2.0 * np.exp(1j * (np.pi / 2 * np.arange(4) + turn / 4))
     assert helpers.max_complex_mismatch(starts, expected) <= 1e-14
     c = np.array([0.5, 0, 2 - 1j, 0, 0, 0, 1e-3j])
-    starts = stellar.polyroots._newton_polygon_starts(c)
+    starts, _ = stellar.polyroots._newton_polygon_starts(c)
     for (i, j), edge in zip([(0, 2), (2, 6)], np.split(starts, [2])):
         ratio, m = -c[i] / c[j], j - i
         angles = (np.angle(ratio) + turn + 2 * np.pi * np.arange(m)) / m
@@ -304,27 +307,82 @@ def test_long_edges_start_at_their_binomials_roots_turned():
 def test_a_length_1_edge_keeps_the_spread_angle():
     # hull vertices (0, 0), (2, log 1e3), (3, log 1e-3): the edge (2, 3) starts at
     # 2 pi i / n + _SPREAD on the circle of radius 1e6, not at its binomial's root -1e6
-    starts = stellar.polyroots._newton_polygon_starts(np.array([1.0, 0, 1e3, 1e-3]))
+    starts, _ = stellar.polyroots._newton_polygon_starts(np.array([1.0, 0, 1e3, 1e-3]))
     angle = 2 * np.pi * 2 / 3 + stellar.polyroots._SPREAD
     np.testing.assert_allclose(starts[2], 1e6 * np.exp(1j * angle), rtol=1e-13)
 
 
-# at most this many Aberth passes for a product state's alt polynomial: each qubit's
-# binomial a_j + b_j x^(2^j) is one hull edge, whose starts lie next to its roots;
-# spread angles on every edge would take 9-15
-PRODUCT_PASSES = 7
+def horner_points(monkeypatch) -> list:
+    """The points of every later _horner call, in order; find_roots' last call certifies."""
+    points, horner = [], stellar.polyroots._horner
+    monkeypatch.setattr(
+        stellar.polyroots, "_horner", lambda t, x: points.append(x.copy()) or horner(t, x)
+    )
+    return points
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+def test_a_binomial_root_that_already_is_a_root_replaces_its_start(monkeypatch):
+    # x^4 - 16 is its one hull edge's binomial: the first pass evaluates the turned starts
+    # and the binomial roots 2 i^k in one call, and iterates from the roots, where they stop
+    turned, roots = stellar.polyroots._newton_polygon_starts(X4_MINUS_16)
+    assert helpers.max_complex_mismatch(roots, 2 * 1j ** np.arange(4)) <= 1e-15
+    points = horner_points(monkeypatch)
+    result = find_roots(ComplexPolynomial(X4_MINUS_16))
+    assert len(points) == 2
+    np.testing.assert_array_equal(points[0], np.concatenate([turned, roots]))
+    assert np.max(np.abs(points[1] - roots)) <= 1e-15  # one Newton-sized step from the roots
+    assert helpers.max_complex_mismatch(result.roots, 2 * 1j ** np.arange(4)) <= 1e-15
+
+
+def test_binomial_roots_that_are_not_roots_leave_the_turned_starts(monkeypatch):
+    # x^4 - 16 + x has the same hull edge, but the Newton steps at its binomial's roots 2 i^k
+    # are about |x| / 16, so none is kept: every iterate is the one it would be if the
+    # binomial roots were the turned starts themselves
+    p = ComplexPolynomial(X4_MINUS_16 + [0, 1, 0, 0, 0])
+    kept = find_roots(p).roots
+    starts = stellar.polyroots._newton_polygon_starts
+
+    def turned_twice(coeffs):
+        turned, _ = starts(coeffs)
+        return turned, turned.copy()
+
+    monkeypatch.setattr(stellar.polyroots, "_newton_polygon_starts", turned_twice)
+    np.testing.assert_array_equal(find_roots(p).roots, kept)
+
+
+# at most this many Aberth passes for a product state's alt polynomial: each of its roots is
+# a root of a hull edge's binomial a_j + b_j x^(2^j), which the first pass keeps; turned
+# binomial roots took up to 5 passes, and spread angles on every edge 9-15
+PRODUCT_PASSES = 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
 def test_product_states_take_few_aberth_passes(monkeypatch, n):
-    calls = []
-    horner = stellar.polyroots._horner
-    monkeypatch.setattr(stellar.polyroots, "_horner", lambda *a: calls.append(1) or horner(*a))
+    points = horner_points(monkeypatch)
     for seed in range(3):
         state = helpers.product_state(helpers.product_factors(seed)[:n])
-        calls.clear()
+        points.clear()
         find_roots(alt_polynomial(state))
-        assert len(calls) - 1 <= PRODUCT_PASSES, seed  # the last call certifies
+        assert len(points) - 1 <= PRODUCT_PASSES, seed  # the last call certifies
+
+
+# a GHZ state's polynomial, in either encoding, and x^n - 1 are the binomials of their one hull
+# edge, so the first pass keeps every start, and they took 4 passes with turned starts
+BINOMIALS = [(kind, n) for kind in ("ghz-alt", "ghz-majorana") for n in range(2, 11)]
+BINOMIALS += [("x^n-1", n) for n in (7, 63, 511, 1023)]
+
+
+@pytest.mark.parametrize("kind, n", BINOMIALS)
+def test_binomials_take_one_aberth_pass(monkeypatch, kind, n):
+    if kind == "x^n-1":
+        p = ComplexPolynomial(np.concatenate([[-1.0], np.zeros(n - 1), [1.0]]))
+    elif kind == "ghz-alt":
+        p = alt_polynomial(helpers.ghz(n))
+    else:
+        p = majorana_polynomial(spin_from_qubits(helpers.ghz(n)))
+    points = horner_points(monkeypatch)
+    find_roots(p)
+    assert len(points) == 2
 
 
 def test_coefficients_near_the_float64_limit_raise_the_root_finding_error_alone():
