@@ -70,7 +70,7 @@ def _euler(angles, shape: tuple = (3,)) -> np.ndarray:
         a = np.array(None)
     if not (a.shape == shape or shape[-1:] == (...,) and a.shape[: len(shape) - 1] == shape[:-1]):
         raise TypeError("Euler triple must hold real numbers, three to a triple")
-    return _numbers(a, float, "Euler triple")
+    return _numbers(angles, float, "Euler triple")  # angles, not a: bools in a list still show
 
 
 # holds every qubit count 1..10 at once (2S = 2^N - 1; complex, 22.4 MB together)

@@ -47,18 +47,28 @@ def _count(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r:.40}")
 
 
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple holds a bool at any depth."""
+    return any(
+        isinstance(v, (bool, np.bool_)) or isinstance(v, (list, tuple)) and _holds_bool(v)
+        for v in values
+    )
+
+
 def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray:
     """The one rule for which inputs are numbers: values as a float64 or complex128 array (dtype
     float or complex), else TypeError naming them unless each entry is a number (a real one for
-    float; a bool is none, as for _count), then ValueError unless it has the given shape, () a
-    scalar, or if one is NaN or inf."""
+    float; a bool is none, as for _count, also inside a list or tuple of numbers), then ValueError
+    unless it has the given shape, () a scalar, or if one is NaN or inf."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged: refused below as an object
         a = np.array(None)
-    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
-        real = "" if dtype is complex else "real "
-        raise TypeError(f"{name} must hold {real}numbers, got {a.dtype} entries")
+    numeric = a.dtype.kind in ("iufc" if dtype is complex else "iuf")
+    # numpy reads a bool among numbers as 0 or 1; a numeric array nests at most 64 lists deep
+    if not numeric or isinstance(values, (list, tuple)) and _holds_bool(values):
+        real, kind = "" if dtype is complex else "real ", a.dtype if not numeric else "bool"
+        raise TypeError(f"{name} must hold {real}numbers, got {kind} entries")
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} of shape {a.shape}, expected {shape}")
     if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a few entries

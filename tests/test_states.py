@@ -10,6 +10,7 @@ from stellar import (
     BlochPoint,
     ComplexPolynomial,
     Constellation,
+    EulerAngles,
     InputFormatError,
     PureState,
     RenderSpec,
@@ -32,6 +33,7 @@ from stellar import (
     qubits_from_spin,
     ray_fidelity,
     rays_equal,
+    rotate_qubits,
     so3_matrix,
     spin_from_qubits,
     sqrt_binomials,
@@ -310,12 +312,15 @@ def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, messa
         [2**70, 1, 0, 1],
         [True, False, False, True],
         np.array([True, False, False, True]),
+        [1.0, True, 0.0, 1.0],
+        [1.0, np.False_, 0.0, 1.0],
     ],
-    ids=["str", "bytes", "None", "beyond-int64", "bool", "numpy-bool"],
+    ids=["str", "bytes", "None", "beyond-int64", "bool", "numpy-bool", "bool-among-floats",
+         "numpy-bool-among-floats"],
 )
 def test_vector_readers_refuse_entries_that_are_not_numbers(read, name, vector):
-    # numpy would parse the strings and read bools as 0 and 1; None and big ints make
-    # an object array
+    # numpy would parse the strings and read bools as 0 and 1, also among floats; None and
+    # big ints make an object array
     with pytest.raises(TypeError, match=f"^{name} must hold numbers"):
         read(vector)
 
@@ -334,7 +339,11 @@ NUMBER_READERS = {
     "point_from_cartesian": (lambda v: point_from_cartesian([v, 0.0, 1.0]), "v"),
     "state_from_spinors": (lambda v: state_from_spinors([(v, 1.0)]), "spinors"),
     "evaluate": (lambda v: evaluate(ComplexPolynomial([1, 2]), v), "x"),
+    "evaluate-list": (lambda v: evaluate(ComplexPolynomial([1, 2]), [0.5, v]), "x"),
     "so3_matrix": (lambda v: so3_matrix((v, 0.0, 0.0)), "Euler triple"),
+    "rotate_qubits": (
+        lambda v: rotate_qubits(PureState(1, [1, 0]), [EulerAngles(0.5, v, 0.0)]), "Euler triple"
+    ),
     "euler_from_so3": (
         lambda v: euler_from_so3([[v, 0, 0], [0, 1, 0], [0, 0, 1]]), "rotation matrix"
     ),
@@ -359,23 +368,11 @@ def test_number_readers_refuse_entries_that_are_not_numbers(read, name, value):
         read(value)
 
 
-# NUMBER_READERS given a bool: where v shares a list with floats, numpy reads it as
-# 0.0 or 1.0 before any reader sees it, so these four readers get bools only
-MIXED = {
-    "point_from_cartesian": lambda v: point_from_cartesian([v, v, v]),
-    "state_from_spinors": lambda v: state_from_spinors([(v, v)]),
-    "so3_matrix": lambda v: so3_matrix((v, v, v)),
-    "euler_from_so3": lambda v: euler_from_so3(np.full((3, 3), v)),
-}
-BOOL_READERS = {
-    key: (MIXED.get(key, read), name) for key, (read, name) in NUMBER_READERS.items()
-}
-
-
-@pytest.mark.parametrize("read, name", BOOL_READERS.values(), ids=BOOL_READERS.keys())
+@pytest.mark.parametrize("read, name", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
 @pytest.mark.parametrize("value", [True, np.False_], ids=["bool", "numpy-bool"])
 def test_number_readers_refuse_bools(read, name, value):
-    # as _count refuses a bool as a count; numpy would read it as 0 or 1
+    # as _count refuses a bool as a count; numpy would read it as 0 or 1, also where v shares
+    # a list or tuple with numbers, nested or not, as in six of the readers
     with pytest.raises(TypeError, match=f"^{name} must hold (real )?numbers, got bool entries"):
         read(value)
 
