@@ -48,11 +48,14 @@ def _count(value, name: str) -> int:
 
 
 def _holds_bool(values) -> bool:
-    """Whether a list or tuple holds a bool at any depth."""
-    return any(
-        isinstance(v, (bool, np.bool_)) or isinstance(v, (list, tuple)) and _holds_bool(v)
-        for v in values
-    )
+    """Whether a list or tuple holds a bool at any depth, read one level at a time."""
+    while True:
+        types = set(map(type, values))
+        if bool in types or np.bool_ in types:
+            return True
+        if not any(issubclass(t, (list, tuple)) for t in types):
+            return False
+        values = [w for v in values if isinstance(v, (list, tuple)) for w in v]
 
 
 def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -65,7 +68,7 @@ def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray
     except ValueError:  # ragged: refused below as an object
         a = np.array(None)
     numeric = a.dtype.kind in ("iufc" if dtype is complex else "iuf")
-    # numpy reads a bool among numbers as 0 or 1; a numeric array nests at most 64 lists deep
+    # numpy reads a bool among numbers as 0 or 1
     if not numeric or isinstance(values, (list, tuple)) and _holds_bool(values):
         real, kind = "" if dtype is complex else "real ", a.dtype if not numeric else "bool"
         raise TypeError(f"{name} must hold {real}numbers, got {kind} entries")
