@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Constellation, _from_angles, points_from_roots
 from .polyroots import DEFAULT_ROOT_TOL, ComplexPolynomial, find_roots
-from .states import PureState, _numbers, tensor_product
+from .states import PureState, _tolerance, tensor_product
 
 __all__ = [
     "SeparableFactorization",
@@ -77,13 +77,9 @@ def decide_separability(
     To first order in u = eps/2 (Higham 2002, ch. 3 and 19), a, |b| and d are
     within (0.5m + 1.5)ua, (2.9m + 5.9)ua and (3.5m + 9.3)ua of exact, so by
     Weyl (a <= s0) each singular value moves <= (4.6m + 11.1)u s0 and, with
-    14.5u from the closed form, |ratio - s1/s0| <= 5 (m + 4) eps.
-    tol is read by states._numbers as one real number; as s1/s0 <= 1, a tol of 1 or more
-    would accept every state and raises ValueError, and a negative tol stops at the first cut.
+    14.5u from the closed form, |ratio - s1/s0| <= 5 (m + 4) eps. states._tolerance reads tol.
     """
-    tol = float(_numbers(tol, float, "tol", ()))
-    if tol >= 1.0:
-        raise ValueError(f"tol must lie below 1, got {tol!r}")
+    tol = _tolerance(tol)
     # an exact power-of-two prescale keeps every sum finite
     exponent = math.frexp(float(np.abs(state.amplitudes.view(float)).max()))[1]
     vec = np.ldexp(state.amplitudes.view(float), -exponent).view(complex)

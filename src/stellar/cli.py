@@ -50,12 +50,6 @@ def _parse_triple(text: str, degrees: bool) -> EulerAngles:
     return EulerAngles(*vals)
 
 
-def _check_tol(tol: float) -> float:
-    if not 0.0 <= tol < math.inf:
-        raise InputFormatError(f"--tol must be finite and >= 0, got {tol!r}")
-    return tol
-
-
 def _constellation_for(state: PureState, encoding: str, tol: float):
     if encoding == "majorana":
         return majorana_constellation(spin_from_qubits(state), tol)
@@ -63,9 +57,8 @@ def _constellation_for(state: PureState, encoding: str, tol: float):
 
 
 def cmd_points(args) -> str:
-    tol = _check_tol(args.tol)
     state = state_from_json(_read_text(args.state))
-    return constellation_to_json(_constellation_for(state, args.encoding, tol))
+    return constellation_to_json(_constellation_for(state, args.encoding, args.tol))
 
 
 def cmd_rotate(args) -> str:
@@ -86,8 +79,7 @@ def cmd_rotate(args) -> str:
 
 
 def cmd_check_sep(args) -> str:
-    tol = _check_tol(args.tol)
-    return verdict_to_json(decide_separability(state_from_json(_read_text(args.state)), tol))
+    return verdict_to_json(decide_separability(state_from_json(_read_text(args.state)), args.tol))
 
 
 def cmd_render(args) -> str:
@@ -164,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_ROOT_TOL,
-        help="bound on the roots' relative backward error in the amplitudes",
+        help="bound in [0, 1) on the roots' relative backward error in the amplitudes",
     )
     p.set_defaults(func=cmd_points)
 
@@ -182,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-sep", help="tensor-product test (verdict JSON to stdout)")
     p.add_argument("state", help="state JSON path, or - for stdin")
     p.add_argument(
-        "--tol", type=float, default=DEFAULT_SEPARABILITY_TOL, help="singular-value ratio bound"
+        "--tol", type=float, default=DEFAULT_SEPARABILITY_TOL, help="bound in [0, 1) on s1/s0"
     )
     p.set_defaults(func=cmd_check_sep)
 

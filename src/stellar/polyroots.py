@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _count, _numbers, _vector
+from .states import _count, _numbers, _tolerance, _vector
 
 __all__ = [
     "ComplexPolynomial",
@@ -112,10 +112,12 @@ class RootFindingError(RuntimeError):
 
 
 def evaluate(p: ComplexPolynomial, x) -> complex | np.ndarray:
-    """p at a point or points, read by _numbers, by _blocked on p itself, within _horner's bound."""
+    """p at a point or points, read by _numbers, by _blocked on p itself, within _horner's bound;
+    not finite where sum_k |c_k| |x|^k overflows float64."""
     _, table, moduli = _tables(p.coefficients)
     z = _numbers(x, complex, "x").reshape(-1)
-    (acc,), _ = _blocked(table[:1, :1], moduli[:1], z, z.size)
+    with np.errstate(all="ignore"):  # as in find_roots
+        (acc,), _ = _blocked(table[:1, :1], moduli[:1], z, z.size)
     return complex(acc[0]) if np.ndim(x) == 0 else acc.reshape(np.shape(x))
 
 
@@ -304,12 +306,10 @@ def find_roots(
     reach tol a RootFindingError carrying the best iterate is raised; its
     message names the floor 2n eps when tol is below it.
     Multiple roots are returned as clusters of nearby simple roots, never
-    merged. tol is read by states._numbers as one real number; a negative tol, or a negative
-    max_iterations, raises ValueError, and a max_iterations that is not an integer TypeError.
+    merged. tol is read by states._tolerance; a negative max_iterations raises ValueError,
+    and a max_iterations that is not an integer TypeError.
     """
-    tol = float(_numbers(tol, float, "tol", ()))
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    tol = _tolerance(tol)
     if _count(max_iterations, "max_iterations") < 0:
         raise ValueError(f"max_iterations must not be negative, got {max_iterations}")
     sizes = p._deflation_sizes()

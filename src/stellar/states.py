@@ -48,10 +48,12 @@ def _count(value, name: str) -> int:
 
 
 def _holds_bool(values) -> bool:
-    """Whether a list or tuple holds a bool at any depth, read one level at a time."""
+    """Whether a list or tuple holds a bool or bool array at any depth, read one level at a time."""
     while True:
         types = set(map(type, values))
         if bool in types or np.bool_ in types:
+            return True
+        if np.ndarray in types and any(getattr(v, "dtype", None) == bool for v in values):
             return True
         if not any(issubclass(t, (list, tuple)) for t in types):
             return False
@@ -77,6 +79,15 @@ def _numbers(values, dtype, name: str, shape: tuple | None = None) -> np.ndarray
     if np.count_nonzero(np.isfinite(a)) < a.size:  # faster than .all() on a few entries
         raise ValueError(f"{name} has a non-finite entry")
     return a.astype(dtype, copy=False)
+
+
+def _tolerance(tol) -> float:
+    """tol as _numbers reads one real number, else ValueError unless it lies in [0, 1): each tol
+    bounds a ratio in [0, 1], which a negative tol never meets and one of 1 or more always does."""
+    tol = float(_numbers(tol, float, "tol", ()))
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
+    return tol
 
 
 def _vector(values, fits, expected: str, name: str) -> np.ndarray:
@@ -218,11 +229,9 @@ def ray_fidelity(a, b) -> float:
 
 
 def rays_equal(a, b, tol: float = DEFAULT_RAY_TOL) -> bool:
-    """Whether two amplitude vectors agree up to one global complex scale. tol is read
-    by _numbers as one real number, and a negative one is refused with ValueError."""
-    tol = float(_numbers(tol, float, "tol", ()))
-    if tol < 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    """Whether two amplitude vectors agree up to one global complex scale, their
+    Cauchy-Schwarz defect at most tol, which _tolerance reads."""
+    tol = _tolerance(tol)
     ab, aa, bb = _overlap_terms(a, b)
     # Cauchy-Schwarz defect normalized to the vector norms
     return bool(aa * bb - abs(ab) ** 2 <= tol * aa * bb)

@@ -122,7 +122,7 @@ def test_tolerance_flag_tightens_the_verdict():
 def test_a_tolerance_not_below_one_is_refused(state, tol):
     # s1/s0 <= 1, so such a tol would call every state separable; at these
     # states' equal singular values it divided by a zero left vector instead
-    message = "^tol has a non-finite entry" if np.isnan(tol) else "tol must lie below 1"
+    message = "^tol has a non-finite entry" if np.isnan(tol) else r"tol must lie in \[0, 1\)"
     with pytest.raises(ValueError, match=message):
         decide_separability(state(), tol)
 
@@ -285,12 +285,13 @@ def test_verdicts_agree_with_the_lapack_peel(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cut_ratio_is_within_the_documented_bound_of_a_50_digit_svd(n):
-    # tol < 0 stops at the first cut, so the reported ratio is that cut's;
-    # every later cut is the same computation on a shorter vector, which the
-    # smaller n cover
+    # tol = 0 stops at the first cut with a ratio above 0, so the reported ratio is
+    # that cut's; every later cut is the same computation on a shorter vector,
+    # which the smaller n cover
     m, eps = 2 ** (n - 1), np.finfo(float).eps
     for seed in (810 + n, 910 + n):
         for name, state in separability_battery(n, seed).items():
-            ratio = decide_separability(state, tol=-1.0).worst_bipartite_residual
+            ratio = decide_separability(state, tol=0.0).worst_bipartite_residual
+            assert ratio > 0, (name, seed)
             exact = helpers.mpmath_cut_ratio(state.amplitudes)
             assert abs(ratio - exact) <= 5 * (m + 4) * eps, (name, seed, ratio, exact)

@@ -447,7 +447,7 @@ def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, to
     code, out, err = run(capsys, [command, path, "--tol", tol])
     assert code == 2
     assert out == ""
-    assert "--tol" in err
+    assert "tol" in err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

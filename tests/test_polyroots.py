@@ -67,6 +67,15 @@ def test_evaluate_vectorized_matches_scalar():
     np.testing.assert_allclose(evaluate(p, xs), [evaluate(p, x) for x in xs])
 
 
+def test_evaluate_where_the_moduli_sum_overflows_is_not_finite_and_warns_nothing():
+    # sum_k |c_k| |x|^k overflows float64 at 1e200; numpy warned there, and Tier-1 fails on warnings
+    p = ComplexPolynomial([1, 2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, values = evaluate(p, 1e200), evaluate(p, [1e200, 2.0])
+    assert not np.isfinite(value) and not np.isfinite(values[0]) and values[1] == 17
+
+
 # Gaussian coefficients at degrees 1..1023, and c_k = 2^-k at degree 1000, whose
 # sum_k |c_k| |x|^k fits in float64 at |x| = 2.5 although |x|^1000 does not
 EVALUATE_CASES = [(n, "gaussian") for n in (1, 2, 3, 7, 15, 31, 63, 127, 255, 511, 1023)]
@@ -246,7 +255,7 @@ def test_nonconvergence_reports_best_iterate():
 def test_nan_tolerance_is_a_bad_argument_not_a_convergence_failure():
     # a negative tol too: it is no tolerance at all, unlike 0, which lies below the floor
     for tol in (math.nan, -1.0, -1e-300):
-        message = "^tol has a non-finite entry" if math.isnan(tol) else "^tol must be >= 0"
+        message = "^tol has a non-finite entry" if math.isnan(tol) else r"^tol must lie in \[0, 1\)"
         with pytest.raises(ValueError, match=message):
             find_roots(ComplexPolynomial([1.0, 2.0, 3.0]), tol=tol)
 

@@ -49,3 +49,48 @@ def test_only_the_number_reader_tests_finiteness_or_kind():
     # a new copy of the rule belongs in states._numbers, and each allowed function still has one
     assert [f for f in found if f[:2] not in OWN_NUMBER_TESTS] == []
     assert {f[:2] for f in found} == OWN_NUMBER_TESTS
+
+
+# the functions that compare a tolerance: each reads it by the one rule first
+TOLERANCE_USERS = {
+    ("polyroots", "find_roots"),
+    ("states", "rays_equal"),
+    ("altsep", "decide_separability"),
+}
+
+
+def _tolerance_comparisons(path: Path):
+    """(function, line of its first tol = _tolerance(tol), its comparisons that hold tol) for
+    each function in the file that compares tol, but states._tolerance."""
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        compares = [
+            node
+            for node in ast.walk(function)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Name) and n.id == "tol" for n in ast.walk(node))
+        ]
+        reads = [s.lineno for s in function.body if ast.unparse(s) == "tol = _tolerance(tol)"]
+        if compares and (path.stem, function.name) != ("states", "_tolerance"):
+            yield function.name, min(reads, default=None), compares
+
+
+def test_every_tolerance_is_read_by_the_one_rule_before_it_is_compared():
+    users, late, range_tests = set(), [], []
+    for path in SOURCES:
+        for function, read, compares in _tolerance_comparisons(path):
+            users.add((path.stem, function))
+            if read is None or read > min(c.lineno for c in compares):
+                late.append((path.stem, function))
+            # tol beside a number is a range test, which states._tolerance alone makes
+            range_tests += [
+                (path.stem, function, c.lineno)
+                for c in compares
+                for operands in [[c.left, *c.comparators]]
+                if any(isinstance(o, ast.Name) and o.id == "tol" for o in operands)
+                and any(isinstance(o, (ast.Constant, ast.UnaryOp)) for o in operands)
+            ]
+    # a re-added test such as if tol < 0 fails here; each user still reads tol by the rule
+    assert late == [] and range_tests == []
+    assert users == TOLERANCE_USERS

@@ -314,9 +314,10 @@ def test_every_complex_vector_is_refused_by_one_reader(read, name, vector, messa
         np.array([True, False, False, True]),
         [1.0, True, 0.0, 1.0],
         [1.0, np.False_, 0.0, 1.0],
+        [1.0, np.array(True), 0.0, 1.0],
     ],
     ids=["str", "bytes", "None", "beyond-int64", "bool", "numpy-bool", "bool-among-floats",
-         "numpy-bool-among-floats"],
+         "numpy-bool-among-floats", "numpy-bool-array-among-floats"],
 )
 def test_vector_readers_refuse_entries_that_are_not_numbers(read, name, vector):
     # numpy would parse the strings and read bools as 0 and 1, also among floats; None and
@@ -369,12 +370,21 @@ def test_number_readers_refuse_entries_that_are_not_numbers(read, name, value):
 
 
 @pytest.mark.parametrize("read, name", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
-@pytest.mark.parametrize("value", [True, np.False_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize(
+    "value", [True, np.False_, np.array(True)], ids=["bool", "numpy-bool", "numpy-bool-array"]
+)
 def test_number_readers_refuse_bools(read, name, value):
     # as _count refuses a bool as a count; numpy would read it as 0 or 1, also where v shares
     # a list or tuple with numbers, nested or not, as in six of the readers
     with pytest.raises(TypeError, match=f"^{name} must hold (real )?numbers, got bool entries"):
         read(value)
+
+
+def test_a_numpy_bool_array_among_number_arrays_is_refused():
+    # numpy reads the array's bools as 0 and 1 once it shares a list with numbers; a 0-d bool
+    # array among numbers is the "numpy-bool-array" case above
+    with pytest.raises(TypeError, match="^spinors must hold numbers, got bool entries"):
+        state_from_spinors([np.array([True, False]), np.array([0.5, 1.0])])
 
 
 @pytest.mark.parametrize("read, name", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
