@@ -68,7 +68,7 @@ def test_evaluate_vectorized_matches_scalar():
 
 
 def test_evaluate_where_the_moduli_sum_overflows_is_not_finite_and_warns_nothing():
-    # sum_k |c_k| |x|^k overflows float64 at 1e200; numpy warned there, and Tier-1 fails on warnings
+    # sum_k |c_k| |x|^k overflows float64 at 1e200, where numpy's overflow warnings stay silent
     p = ComplexPolynomial([1, 2, 3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

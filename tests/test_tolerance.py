@@ -55,8 +55,6 @@ def cli(tmp_path, capsys, argv, tol):
 @pytest.mark.parametrize("call", TAKES_TOL.values(), ids=TAKES_TOL.keys())
 @OUTSIDE
 def test_a_tolerance_outside_the_unit_interval_is_refused(call, tol):
-    # before, find_roots and rays_equal took a tol of 1 or more, and decide_separability a
-    # negative one, which called every multi-qubit state entangled
     with pytest.raises(ValueError, match=r"^tol must lie in \[0, 1\), got "):
         call(tol)
 
